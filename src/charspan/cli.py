@@ -2,8 +2,7 @@
 
 Subcommands: transform (word trees -> char trees), detransform (inverse,
 plus segmentation output), train, parse (checkpoint or score file ->
-trees), eval (joint seg/parse report), bench (decode throughput, with a
-backend comparison mode).
+trees), eval (joint seg/parse report), bench (decode throughput).
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data error.
 Logs go to standard error; data goes to files or standard output.
@@ -21,7 +20,7 @@ import numpy as np
 
 from .chartree import (from_char_tree, load_char_trees, save_char_trees,
                        to_char_tree)
-from .decoder import DecodeConfig, available_backends, cky_decode
+from .decoder import DecodeConfig, cky_decode
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
 from .trainer import Checkpoint, TrainConfig, load_train_config, train
@@ -144,8 +143,7 @@ def cmd_parse(args) -> int:
 
         def run(sentence: str):
             scores = score_spans(scorer, sentence, vocab)
-            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=sentence,
-                               backend=args.backend)
+            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=sentence)
             return ct
 
         char_trees = _map_maybe_parallel(run, sentences, args.threads)
@@ -166,8 +164,7 @@ def cmd_parse(args) -> int:
                     raise ValueError(
                         f"sentence {sid}: score file says n={scores.n}, "
                         f"input line has {len(chars)} characters")
-            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars,
-                               backend=args.backend)
+            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
             return ct
 
         char_trees = _map_maybe_parallel(run_block, list(enumerate(blocks)),
@@ -241,38 +238,29 @@ def cmd_bench(args) -> int:
 
     prepared = [make_scores(k, s) for k, s in enumerate(sentences)]
 
-    if args.backend == "both":
-        backends = ["python", "cython"]
-        if "cython" not in available_backends():
-            raise ValueError("compiled kernel unavailable; cannot compare both backends")
-    else:
-        backends = [args.backend]
+    def decode_one(item):
+        scores, sentence = item
+        if args.include_scoring:
+            scores = score_spans(scorer, sentence, vocab)
+        return cky_decode(scores, vocab, decode_cfg, chars=sentence)
 
-    for backend in backends:
-        def decode_one(item):
-            scores, sentence = item
-            if args.include_scoring:
-                scores = score_spans(scorer, sentence, vocab)
-            return cky_decode(scores, vocab, decode_cfg, chars=sentence,
-                              backend=backend)
-
-        items = list(zip(prepared, sentences))
-        decode_one(items[0])  # warm up (imports, allocator)
-        rates = []
-        for rep in range(args.repeats):
-            t0 = time.perf_counter()
-            _map_maybe_parallel(decode_one, items, args.threads)
-            dt = time.perf_counter() - t0
-            rate = len(items) / dt
-            rates.append(rate)
-            print(f"backend={backend} repeat={rep + 1} time={dt:.4f}s "
-                  f"rate={rate:.1f} sents/sec", file=sys.stderr)
-        mean = float(np.mean(rates))
-        std = float(np.std(rates))
-        print(f"backend={backend} sentences={len(items)} repeats={args.repeats} "
-              f"include_scoring={str(bool(args.include_scoring)).lower()} "
-              f"threads={args.threads} "
-              f"sents_per_sec_mean={mean:.2f} sents_per_sec_std={std:.2f}")
+    items = list(zip(prepared, sentences))
+    decode_one(items[0])  # warm up (imports, allocator)
+    rates = []
+    for rep in range(args.repeats):
+        t0 = time.perf_counter()
+        _map_maybe_parallel(decode_one, items, args.threads)
+        dt = time.perf_counter() - t0
+        rate = len(items) / dt
+        rates.append(rate)
+        print(f"repeat={rep + 1} time={dt:.4f}s rate={rate:.1f} sents/sec",
+              file=sys.stderr)
+    mean = float(np.mean(rates))
+    std = float(np.std(rates))
+    print(f"sentences={len(items)} repeats={args.repeats} "
+          f"include_scoring={str(bool(args.include_scoring)).lower()} "
+          f"threads={args.threads} "
+          f"sents_per_sec_mean={mean:.2f} sents_per_sec_std={std:.2f}")
     return 0
 
 
@@ -281,8 +269,6 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
                    default=True, help="keep @1-final labels on exactly length-1 spans")
     p.add_argument("--require-nonnull-root", action=argparse.BooleanOptionalAction,
                    default=True, help="forbid the null label on the whole-sentence span")
-    p.add_argument("--backend", choices=["auto", "python", "cython"], default="auto",
-                   help="chart-fill implementation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("pred")
     p.add_argument("--report-file", help="also write the key=value line here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="decode throughput benchmark")
@@ -356,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
-    # bench accepts --backend both on top of the shared choices
-    for action in p._actions:
-        if action.dest == "backend":
-            action.choices = ["auto", "python", "cython", "both"]
     return parser
 
 

@@ -6,9 +6,10 @@ splits into an independent per-span best label plus a best split point,
 O(n^3 + n^2 L) total.  Tie rule everywhere: smallest label id, then
 smallest split k (first maximum wins).
 
-The chart fill runs in a compiled kernel when the extension built, with a
-vectorized numpy fallback; both use the same float association
-``label_score + (left + right)`` so their charts agree bitwise.
+The chart fill takes one label argmax over all spans, then runs the
+split DP vectorized over all spans of a width.  Every combined score
+associates as ``label_score + (left + right)``, which ``tree_score``
+reproduces bitwise.
 ``brute_force_decode`` enumerates every bracketing as an oracle.
 """
 
@@ -22,11 +23,6 @@ import numpy as np
 from .chartree import CharTree
 from .labels import is_char_label
 from .scoring import LabelVocab, SpanScores, iter_spans
-
-try:
-    from . import _ckykernel
-except ImportError:
-    _ckykernel = None
 
 PLACEHOLDER_CHAR = "□"
 
@@ -46,10 +42,9 @@ class DecodeConfig:
 
 
 def available_backends() -> list[str]:
-    out = ["python"]
-    if _ckykernel is not None:
-        out.append("cython")
-    return out
+    # a single chart fill; kept because perfbench/run.py records this list
+    # in the context of every benchmark run
+    return ["python"]
 
 
 def apply_masks(scores: SpanScores, vocab: LabelVocab,
@@ -83,53 +78,38 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
     return out
 
 
-def _fill_chart_py(values: np.ndarray, n: int):
-    bc = np.zeros((n + 1, n + 1))
-    bestlab = np.zeros((n + 1, n + 1), dtype=np.int64)
+def fill_chart(values: np.ndarray, n: int):
+    """Chart arrays (best_combined, best_label, best_split) for ``values``.
+
+    Entries off the upper triangle, and splits of length-1 spans, are 0.
+    The split DP runs one width at a time over two copies of the chart,
+    ``by_start[i, l] = bc[i, i + l]`` and ``by_end[j, n - l] = bc[j - l, j]``,
+    so the left and the right parts of all splits of a width are two
+    forward slices that line up split by split.
+    """
+    bestlab = np.triu(values.argmax(axis=2), 1)
+    si, sj = np.triu_indices(n + 1, k=1)
+    by_start = np.zeros((n + 1, n + 1))
+    by_start[si, sj - si] = values[si, sj, bestlab[si, sj]]
+    by_end = np.zeros((n + 1, n + 1))
+    by_end[1:, n - 1] = by_start[:n, 1]
     split = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for length in range(1, n + 1):
-        ii = np.arange(0, n - length + 1)
-        jj = ii + length
-        rows = values[ii, jj]
-        bl = np.argmax(rows, axis=1)
-        ls = rows[np.arange(len(ii)), bl]
-        bestlab[ii, jj] = bl
-        if length == 1:
-            bc[ii, jj] = ls
-        else:
-            cands = np.stack([bc[ii, ii + k] + bc[ii + k, jj]
-                              for k in range(1, length)])
-            bk = np.argmax(cands, axis=0)
-            bc[ii, jj] = ls + cands[bk, np.arange(len(ii))]
-            split[ii, jj] = ii + bk + 1
-    return bc, bestlab, split
-
-
-def _fill_chart_cython(values: np.ndarray, n: int):
+    pos = np.arange(n + 1)
+    for length in range(2, n + 1):
+        count = n - length + 1
+        cands = by_start[:count, 1:length] + by_end[length:, count:n]
+        bk = cands.argmax(axis=1)
+        by_start[:count, length] = by_end[length:, n - length] = (
+            by_start[:count, length] + cands[pos[:count], bk])
+        split[pos[:count], pos[length:]] = pos[1:count + 1] + bk
     bc = np.zeros((n + 1, n + 1))
-    bestlab = np.zeros((n + 1, n + 1), dtype=np.int64)
-    split = np.zeros((n + 1, n + 1), dtype=np.int64)
-    _ckykernel.fill_chart(np.ascontiguousarray(values), bc, bestlab, split)
+    bc[si, sj] = by_start[si, sj - si]
     return bc, bestlab, split
-
-
-def fill_chart(values: np.ndarray, n: int, backend: str = "auto"):
-    """Chart arrays (best_combined, best_label, best_split) for ``values``."""
-    if backend == "auto":
-        backend = "cython" if _ckykernel is not None else "python"
-    if backend == "cython":
-        if _ckykernel is None:
-            raise ValueError("compiled kernel is not available in this build")
-        return _fill_chart_cython(values, n)
-    if backend == "python":
-        return _fill_chart_py(values, n)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def cky_decode(scores: SpanScores, vocab: LabelVocab,
                config: DecodeConfig | None = None,
-               chars: Sequence[str] | None = None,
-               backend: str = "auto") -> tuple[CharTree, float]:
+               chars: Sequence[str] | None = None) -> tuple[CharTree, float]:
     """Highest-scoring binary tree and its total span-score sum.
 
     ``chars`` supplies leaf characters; a placeholder is used when absent
@@ -141,7 +121,7 @@ def cky_decode(scores: SpanScores, vocab: LabelVocab,
     if chars is not None and len(chars) != n:
         raise ValueError(f"got {len(chars)} characters for {n} score positions")
     masked = apply_masks(scores, vocab, config)
-    bc, bestlab, split = fill_chart(masked.values, n, backend)
+    bc, bestlab, split = fill_chart(masked.values, n)
 
     def build(i: int, j: int) -> CharTree:
         label = vocab[int(bestlab[i, j])]

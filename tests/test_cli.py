@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from charspan.chartree import gold_span_labels, to_char_tree
-from charspan.decoder import available_backends
 from charspan.scoring import build_vocab, oracle_scores, write_scores
 from charspan.synthesis import synthesize_corpus
 from charspan.treebank import load_corpus, save_corpus
@@ -196,14 +195,15 @@ def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):
 
 
 def test_parse_threads_match_single_thread(workdir, checkpoint, tmp_path):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    for out, threads in ((a, "1"), (b, "3")):
-        r = run_cli("parse", "--checkpoint", str(checkpoint),
-                    "--input", str(workdir / "sents.txt"),
-                    "--output", str(out), "--threads", threads)
-        assert r.returncode == 0, r.stderr
-    assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+    for name, source in (("ckpt", ("--checkpoint", str(checkpoint))),
+                         ("scores", ("--score-file", str(workdir / "scores.txt")))):
+        a = tmp_path / f"{name}_a.txt"
+        b = tmp_path / f"{name}_b.txt"
+        for out, threads in ((a, "1"), (b, "3")):
+            r = run_cli("parse", *source, "--input", str(workdir / "sents.txt"),
+                        "--output", str(out), "--threads", threads)
+            assert r.returncode == 0, r.stderr
+        assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
 
 
 def test_eval_report_file(workdir, tmp_path):
@@ -226,25 +226,13 @@ def test_eval_yield_mismatch_is_data_error(workdir, tmp_path):
 
 
 def test_bench_random_scores(workdir):
-    r = run_cli("bench", str(workdir / "gold.txt"), "--repeats", "2",
-                "--backend", "python")
+    r = run_cli("bench", str(workdir / "gold.txt"), "--repeats", "2")
     assert r.returncode == 0, r.stderr
-    assert "backend=python repeat=1" in r.stderr
-    assert "backend=python repeat=2" in r.stderr
+    assert "repeat=1 time=" in r.stderr
+    assert "repeat=2 time=" in r.stderr
     summary = r.stdout.strip().splitlines()[-1]
-    assert summary.startswith("backend=python sentences=8 repeats=2")
+    assert summary.startswith("sentences=8 repeats=2")
     assert "sents_per_sec_mean=" in summary
-
-
-@pytest.mark.skipif("cython" not in available_backends(),
-                    reason="compiled kernel not built")
-def test_bench_compares_both_backends(workdir):
-    r = run_cli("bench", str(workdir / "gold.txt"), "--repeats", "1",
-                "--backend", "both")
-    assert r.returncode == 0, r.stderr
-    lines = r.stdout.strip().splitlines()
-    assert any(line.startswith("backend=python ") for line in lines)
-    assert any(line.startswith("backend=cython ") for line in lines)
 
 
 def test_bench_include_scoring_needs_checkpoint(workdir):
@@ -255,8 +243,7 @@ def test_bench_include_scoring_needs_checkpoint(workdir):
 
 def test_bench_with_checkpoint_scoring(workdir, checkpoint):
     r = run_cli("bench", str(workdir / "gold.txt"), "--repeats", "1",
-                "--checkpoint", str(checkpoint), "--include-scoring",
-                "--backend", "python")
+                "--checkpoint", str(checkpoint), "--include-scoring")
     assert r.returncode == 0, r.stderr
     assert "include_scoring=true" in r.stdout
 
