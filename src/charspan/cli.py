@@ -105,6 +105,16 @@ def _train_config_from_args(args) -> TrainConfig:
     return config
 
 
+class _EpochLog(list):
+    """Training history that logs each epoch's line as the epoch ends."""
+
+    def append(self, rec: dict) -> None:
+        super().append(rec)
+        print("epoch={epoch} loss_kind={loss_kind} loss={loss:.6f} lr={lr:.6g} "
+              "decays={decays} dev_seg_f1={dev_seg_f1:.4f} "
+              "dev_parse_f1={dev_parse_f1:.4f}".format(**rec), file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
     try:
@@ -115,12 +125,7 @@ def cmd_train(args) -> int:
         dev_corpus = load_corpus(args.dev)
     except TreeFormatError as e:
         raise _located(args.dev, e) from e
-    history: list[dict] = []
-    checkpoint = train(train_corpus, dev_corpus, config, history=history)
-    for rec in history:
-        print("epoch={epoch} loss_kind={loss_kind} loss={loss:.6f} lr={lr:.6g} "
-              "decays={decays} dev_seg_f1={dev_seg_f1:.4f} "
-              "dev_parse_f1={dev_parse_f1:.4f}".format(**rec), file=sys.stderr)
+    checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
     checkpoint.save(args.output)
     print(f"saved checkpoint (best epoch {checkpoint.epoch}, "
           f"dev parse F1 {checkpoint.best_dev_f1:.4f}) -> {args.output}",

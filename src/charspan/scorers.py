@@ -1,11 +1,12 @@
 """Trainable span scorers over hashed span features.
 
 Both scorers map a SpanRepresentation (a bag of feature ids) to one score
-per label.  ``LinearScorer`` is a plain hashed linear model; ``MLPHead`` is
-a two-layer perceptron with a rectifier and inverted dropout, so the
-inference path needs no rescaling.  Gradients for the first-layer weights
-come back sparse, as (ids, rows) pairs, because only the feature rows a
-span touches receive gradient.
+per label, or an (S, 8) id matrix to an (S, L) score array in one batch.
+``LinearScorer`` is a hashed linear model whose weights live in a compact
+table keyed by hashed id; ``MLPHead`` is a two-layer perceptron with a
+rectifier and inverted dropout, so the inference path needs no rescaling.
+Gradients for the first-layer weights come back sparse, as (ids, rows)
+pairs, because only the feature rows a span touches receive gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,33 @@ import numpy as np
 from .scoring import SpanRepresentation
 
 Gradients = dict
+
+
+def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per span, the ``table`` rows at its ids added one by one in feature
+    order, starting from +0.0; ids of -1 are skipped.
+
+    This is the order ``table[ids].sum(axis=0)`` adds a span's rows in when
+    the rows are at least 8 wide, so a batch scores exactly like single
+    spans.
+    """
+    spans = np.atleast_2d(ids)
+    out = np.zeros((spans.shape[0], table.shape[1]))
+    for column in spans.T:
+        present = column >= 0
+        if present.all():
+            out += table[column]
+        else:
+            out[present] += table[column[present]]
+    return out if ids.ndim == 2 else out[0]
+
+
+def span_cache(cache: dict | None, k: int) -> dict | None:
+    """Span k's part of the cache of a batch ``score_train``."""
+    if cache is None:
+        return None
+    return {name: None if value is None else value[k]
+            for name, value in cache.items()}
 
 
 def _apply_sgd(params: dict[str, np.ndarray], grads: list[Gradients], lr: float,
@@ -33,21 +61,62 @@ def _apply_sgd(params: dict[str, np.ndarray], grads: list[Gradients], lr: float,
 
 
 class LinearScorer:
-    """score(rep) = sum of weight rows at the span's feature ids."""
+    """score(rep) = sum of weight rows at the span's feature ids.
 
-    def __init__(self, dim: int, num_labels: int):
-        self.W = np.zeros((dim, num_labels))
+    The weights of the (dim, L) matrix are held as sorted hashed ``keys``
+    and their ``rows``; an id that is not a key has an all-zero row.
+    Collisions are those of the dense matrix, so scores are too.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
+    def __init__(self, dim: int, num_labels: int, keys=None, rows=None):
+        if dim <= 0:
+            raise ValueError("feature dimension must be positive")
+        keys = np.asarray([] if keys is None else keys, dtype=np.int64)
+        rows = (np.zeros((len(keys), num_labels)) if rows is None
+                else np.asarray(rows, dtype=np.float64))
+        if keys.ndim != 1 or rows.shape != (len(keys), num_labels):
+            raise ValueError(f"expected {num_labels}-wide rows for {len(keys)} keys, "
+                             f"got shape {rows.shape}")
+        if len(keys) and (keys[0] < 0 or keys[-1] >= dim or (np.diff(keys) <= 0).any()):
+            raise ValueError(f"keys must be strictly increasing ids below {dim}")
+        self.dim = dim
+        self._set(keys, rows)
+
+    def _set(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        # a trailing zero row answers every id that is not a key; ``rows``
+        # is a view, so updates to it land in the table
+        self._table = np.zeros((len(keys) + 1, rows.shape[1]))
+        self._table[:-1] = rows
+        self.keys = keys
+        self.rows = self._table[:-1]
 
     @property
     def num_labels(self) -> int:
-        return self.W.shape[1]
+        return self._table.shape[1]
+
+    def _positions(self, ids: np.ndarray) -> np.ndarray:
+        """Table row of each id; ids that are not keys get the zero row,
+        and -1 stays -1."""
+        pos = np.searchsorted(self.keys, ids)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == ids[hit]
+        return np.where(hit, pos, np.where(ids < 0, -1, len(self.keys)))
+
+    def register(self, ids) -> None:
+        """Give every id in ``ids`` (-1 aside) a row, all zero if it is new."""
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        new = np.setdiff1d(ids[ids >= 0], self.keys)
+        if not new.size:
+            return
+        if new[-1] >= self.dim:
+            raise ValueError(f"feature id {new[-1]} is not below {self.dim}")
+        keys = np.union1d(self.keys, new)
+        rows = np.zeros((len(keys), self.num_labels))
+        rows[np.searchsorted(keys, self.keys)] = self.rows
+        self._set(keys, rows)
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        return self.W[rep.ids].sum(axis=0)
+        return _gather_sum(self._table, self._positions(rep.ids))
 
     def score_train(self, rep: SpanRepresentation, rng) -> tuple[np.ndarray, None]:
         # No dropout in the linear model; train scoring equals inference.
@@ -61,11 +130,23 @@ class LinearScorer:
         return {"W": (rep.ids, rows)}
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"W": self.W}
+        return {"keys": self.keys, "rows": self.rows}
 
     def sgd_step(self, grads: list[Gradients], lr: float,
                  count: int | None = None) -> None:
-        _apply_sgd(self.params(), grads, lr, count)
+        """Plain SGD on the batch mean; ids without a row get one first.
+
+        Gradient rows land one by one in order, so every weight takes its
+        updates in the order, and with the rounding, of ``np.subtract.at``
+        on the dense matrix.
+        """
+        if not grads:
+            return
+        self.register(np.concatenate([g["W"][0] for g in grads]))
+        scale = lr / (count if count is not None else len(grads))
+        for g in grads:
+            ids, rows = g["W"]
+            np.subtract.at(self.rows, np.searchsorted(self.keys, ids), scale * rows)
 
 
 class MLPHead:
@@ -100,23 +181,32 @@ class MLPHead:
         return self.W2.shape[1]
 
     def _pre_hidden(self, rep: SpanRepresentation) -> np.ndarray:
-        return self.W1[rep.ids].sum(axis=0) + self.b1
+        return _gather_sum(self.W1, rep.ids) + self.b1
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        if h.ndim == 1:
+            return h @ self.W2 + self.b2
+        # one product per span: a batched H @ W2 need not round like h @ W2
+        out = np.empty((len(h), self.num_labels))
+        for row, hidden in zip(out, h):
+            row[:] = hidden @ self.W2
+        return out + self.b2
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        h = np.maximum(self._pre_hidden(rep), 0.0)
-        return h @ self.W2 + self.b2
+        return self._output(np.maximum(self._pre_hidden(rep), 0.0))
 
     def score_train(self, rep: SpanRepresentation,
                     rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         pre = self._pre_hidden(rep)
         h = np.maximum(pre, 0.0)
         if self.dropout > 0.0:
-            keep = (rng.random(self.hidden) >= self.dropout) / (1.0 - self.dropout)
+            # a batch draws the same stream as its spans one by one
+            keep = (rng.random(pre.shape) >= self.dropout) / (1.0 - self.dropout)
             h = h * keep
         else:
             keep = None
         cache = {"pre": pre, "keep": keep}
-        return h @ self.W2 + self.b2, cache
+        return self._output(h), cache
 
     def backward(self, rep: SpanRepresentation, upstream: np.ndarray,
                  cache: dict | None = None) -> Gradients:

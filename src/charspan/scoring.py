@@ -117,9 +117,11 @@ class SpanScores:
         if values.shape != shape:
             raise ValueError(f"expected score array of shape {shape}, got {values.shape}")
         if validate:
-            for i, j in iter_spans(n):
-                if not np.isfinite(values[i, j]).all():
-                    raise ValueError(f"non-finite score at span ({i}, {j})")
+            starts, ends = np.triu_indices(n + 1, k=1)
+            bad = ~np.isfinite(values).all(axis=2)[starts, ends]
+            if bad.any():
+                k = int(bad.argmax())
+                raise ValueError(f"non-finite score at span ({starts[k]}, {ends[k]})")
         self.n = n
         self.num_labels = num_labels
         self.values = values
@@ -130,7 +132,11 @@ class SpanScores:
 
 @dataclass
 class SpanRepresentation:
-    """Hashed feature ids of one span; every id is < dim."""
+    """Hashed feature ids of one span, or an (S, 8) id matrix of S spans.
+
+    Every id is < dim; in a matrix, -1 marks the missing span-string
+    feature of spans wider than 4 characters.
+    """
 
     ids: np.ndarray
     dim: int
@@ -149,37 +155,68 @@ def _length_bucket(length: int) -> str:
     return "9+"
 
 
-def span_representation(chars: Sequence[str], i: int, j: int,
+def span_representation(chars: Sequence[str], i, j,
                         dim: int = DEFAULT_DIM) -> SpanRepresentation:
-    """Deterministic feature ids for span (i, j) of ``chars``."""
+    """Deterministic feature ids for span (i, j) of ``chars``.
+
+    With integer ``i`` and ``j`` the ids are the span's 7 or 8 features in
+    feature order: L, B, E, R, LB, ER, then S (only for spans of at most 4
+    characters), then W.  With equal-length integer arrays the result is an
+    (S, 8) matrix with one row per span in the same column order and -1 in
+    the S column of wider spans.  Each distinct feature string among the
+    requested spans is hashed once.
+    """
+    starts = np.atleast_1d(np.asarray(i, dtype=np.int64))
+    ends = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        raise ValueError("span starts and ends must be equal-length 1-D arrays")
     n = len(chars)
-    if not (0 <= i < j <= n):
-        raise ValueError(f"span ({i}, {j}) out of range for length {n}")
+    bad = ~((0 <= starts) & (starts < ends) & (ends <= n))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"span ({starts[k]}, {ends[k]}) out of range for length {n}")
     if dim <= 0:
         raise ValueError("feature dimension must be positive")
-    before = chars[i - 1] if i > 0 else LEFT_SENTINEL
-    first = chars[i]
-    last = chars[j - 1]
-    after = chars[j] if j < n else RIGHT_SENTINEL
-    feats = [
-        "L:" + before,
-        "B:" + first,
-        "E:" + last,
-        "R:" + after,
-        "LB:" + before + first,
-        "ER:" + last + after,
-    ]
-    if j - i <= 4:
-        feats.append("S:" + "".join(chars[i:j]))
-    feats.append("W:" + _length_bucket(j - i))
-    ids = np.array([_feature_id(f, dim) for f in feats], dtype=np.int64)
+    memo: dict[str, int] = {}
+
+    def hashed(feature: str) -> int:
+        fid = memo.get(feature)
+        if fid is None:
+            fid = memo[feature] = _feature_id(feature, dim)
+        return fid
+
+    def gather(keys: np.ndarray, *features) -> np.ndarray:
+        # one column per feature: its ids for each distinct key, then per span
+        distinct, where = np.unique(keys, return_inverse=True)
+        table = np.array([[hashed(feature(key)) for feature in features]
+                          for key in distinct.tolist()], dtype=np.int64)
+        return table.reshape(len(distinct), len(features))[where]
+
+    # padded[p] is the character before position p, padded[p + 1] the one at p
+    padded = [LEFT_SENTINEL, *chars, RIGHT_SENTINEL]
+    widths = ends - starts
+    short = widths <= 4
+    ids = np.full((len(starts), 8), -1, dtype=np.int64)
+    ids[:, [0, 1, 4]] = gather(starts, lambda p: "L:" + padded[p],
+                               lambda p: "B:" + padded[p + 1],
+                               lambda p: "LB:" + padded[p] + padded[p + 1])
+    ids[:, [2, 3, 5]] = gather(ends, lambda q: "E:" + padded[q],
+                               lambda q: "R:" + padded[q + 1],
+                               lambda q: "ER:" + padded[q] + padded[q + 1])
+    # a short span is keyed by start * 5 + width
+    ids[short, 6:7] = gather(starts[short] * 5 + widths[short], lambda key: (
+        "S:" + "".join(chars[key // 5:key // 5 + key % 5])))
+    ids[:, 7:] = gather(widths, lambda w: "W:" + _length_bucket(w))
+    if np.ndim(i) == 0 and np.ndim(j) == 0:
+        row = ids[0]
+        return SpanRepresentation(row[row >= 0], dim)
     return SpanRepresentation(ids, dim)
 
 
 def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
                 train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> SpanScores:
-    """Score every span of ``chars`` with ``scorer``.
+    """Score every span of ``chars`` with ``scorer``, all in one batch.
 
     ``train_mode`` turns on dropout (scorers without dropout ignore it) and
     then requires a caller-provided ``rng`` so runs stay reproducible.
@@ -191,15 +228,18 @@ def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
         raise ValueError("train_mode scoring needs an explicit rng")
     n = len(chars)
     out = SpanScores(n, len(vocab))
-    for i, j in iter_spans(n):
-        rep = span_representation(chars, i, j, scorer.dim)
-        if train_mode:
-            row, _ = scorer.score_train(rep, rng)
-        else:
-            row = scorer.score(rep)
-        if not np.isfinite(row).all():
-            raise ValueError(f"scorer produced non-finite values at span ({i}, {j})")
-        out.values[i, j] = row
+    starts, ends = np.triu_indices(n + 1, k=1)  # lexicographic span order
+    rep = span_representation(chars, starts, ends, scorer.dim)
+    if train_mode:
+        rows, _ = scorer.score_train(rep, rng)
+    else:
+        rows = scorer.score(rep)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"scorer produced non-finite values at span "
+                         f"({starts[k]}, {ends[k]})")
+    out.values[starts, ends] = rows
     return out
 
 

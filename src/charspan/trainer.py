@@ -27,8 +27,8 @@ from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
 from .decoder import DecodeConfig, cky_decode
 from .losses import label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
-from .scorers import LinearScorer, MLPHead
-from .scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
+from .scorers import LinearScorer, MLPHead, span_cache
+from .scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
                       span_representation, score_spans)
 
 # Rate for finetuning a pretrained encoder; documented for users plugging
@@ -140,10 +140,10 @@ class Checkpoint:
 
     def build_scorer(self):
         if self.scorer_kind == "linear":
-            scorer = LinearScorer(self.feature_dim, len(self.labels))
-        else:
-            scorer = MLPHead(self.feature_dim, len(self.labels), self.mlp_hidden,
-                             self.dropout, rng=np.random.default_rng(0))
+            return LinearScorer(self.feature_dim, len(self.labels),
+                                self.params["keys"], self.params["rows"])
+        scorer = MLPHead(self.feature_dim, len(self.labels), self.mlp_hidden,
+                         self.dropout, rng=np.random.default_rng(0))
         for name, value in self.params.items():
             getattr(scorer, name)[...] = value
         return scorer
@@ -160,11 +160,11 @@ class Checkpoint:
             "decays": np.array(self.decays),
         }
         if self.scorer_kind == "linear":
-            # almost all hash buckets stay zero; store touched rows only
-            w = self.params["W"]
-            ids = np.flatnonzero(np.any(w != 0.0, axis=1))
-            arrays["W_ids"] = ids
-            arrays["W_rows"] = w[ids]
+            # store the nonzero rows only, keyed by hashed id
+            rows = self.params["rows"]
+            nonzero = np.any(rows != 0.0, axis=1)
+            arrays["W_ids"] = self.params["keys"][nonzero]
+            arrays["W_rows"] = rows[nonzero]
         else:
             for name, value in self.params.items():
                 arrays["p_" + name] = value
@@ -178,9 +178,7 @@ class Checkpoint:
             labels = [str(x) for x in data["labels"]]
             dim = int(data["feature_dim"])
             if kind == "linear":
-                w = np.zeros((dim, len(labels)))
-                w[data["W_ids"]] = data["W_rows"]
-                params = {"W": w}
+                params = {"keys": data["W_ids"], "rows": data["W_rows"]}
             else:
                 params = {name[2:]: data[name].copy() for name in data.files
                           if name.startswith("p_")}
@@ -196,16 +194,14 @@ def _make_scorer(config: TrainConfig, dim: int, num_labels: int,
     return MLPHead(dim, num_labels, config.mlp_hidden, config.dropout, rng=rng)
 
 
-def _sentence_pass(scorer, chars, reps, gold_map, gold_ct, vocab, kind,
+def _sentence_pass(scorer, chars, spans, gold_map, gold_ct, vocab, kind,
                    config: TrainConfig, decode_cfg: DecodeConfig,
                    rng: np.random.Generator):
+    starts, ends, rep = spans
     n = len(chars)
+    batch, cache = scorer.score_train(rep, rng)
     values = np.zeros((n + 1, n + 1, len(vocab)))
-    caches = {}
-    for (i, j), rep in reps.items():
-        row, cache = scorer.score_train(rep, rng)
-        values[i, j] = row
-        caches[(i, j)] = cache
+    values[starts, ends] = batch
     scores = SpanScores(n, len(vocab), values, validate=False)
     if kind == "label":
         lv = label_loss(scores, gold_map, vocab, spans=config.loss_spans)
@@ -218,8 +214,12 @@ def _sentence_pass(scorer, chars, reps, gold_map, gold_ct, vocab, kind,
         if row is None:
             row = rows[(i, j)] = np.zeros(len(vocab))
         row[l] = g
-    grads = [scorer.backward(reps[ij], row, caches[ij])
-             for ij, row in rows.items()]
+    grads = []
+    for (i, j), row in rows.items():
+        k = i * (2 * n - i + 1) // 2 + j - i - 1  # (i, j)'s lexicographic index
+        ids = rep.ids[k]
+        grads.append(scorer.backward(SpanRepresentation(ids[ids >= 0], rep.dim),
+                                     row, span_cache(cache, k)))
     return lv.value, grads
 
 
@@ -267,8 +267,13 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
     rng = np.random.default_rng(config.seed)
     scorer = _make_scorer(config, dim, len(vocab), rng)
     decode_cfg = DecodeConfig()
-    reps = [{(i, j): span_representation(chars, i, j, dim)
-             for (i, j) in iter_spans(len(chars))} for chars in sentences]
+    spans = []  # per sentence: span starts, span ends, their feature ids
+    for chars in sentences:
+        starts, ends = np.triu_indices(len(chars) + 1, k=1)
+        spans.append((starts, ends, span_representation(chars, starts, ends, dim)))
+    if config.scorer == "linear":
+        # every row SGD will update exists before the first step
+        scorer.register(np.concatenate([rep.ids for _, _, rep in spans]))
 
     lr = config.effective_learning_rate
     best_f1 = -1.0
@@ -286,7 +291,7 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
             grads = []
             for s in batch:
                 value, sent_grads = _sentence_pass(
-                    scorer, sentences[s], reps[s], gold_maps[s], gold_char[s],
+                    scorer, sentences[s], spans[s], gold_maps[s], gold_char[s],
                     vocab, kind, config, decode_cfg, rng)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite {kind} loss in batch "

@@ -158,6 +158,28 @@ def test_train_stderr_shows_loss_kinds(workdir, tmp_path):
     assert "saved checkpoint" in r.stderr
 
 
+def test_train_streams_epoch_lines(workdir, tmp_path, monkeypatch, capsys):
+    from charspan import cli
+
+    def failing_train(train_corpus, dev_corpus, config, history):
+        history.append({"epoch": 1, "loss_kind": "label", "loss": 2.5,
+                        "lr": 0.5, "decays": 0, "dev_seg_f1": 0.25,
+                        "dev_parse_f1": 0.125})
+        raise ValueError("diverged in epoch 2")
+
+    monkeypatch.setattr(cli, "train", failing_train)
+    code = cli.main(["train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
+                     str(tmp_path / "m.npz")])
+    assert code == 2
+    # the line of the finished epoch came out before training failed
+    assert capsys.readouterr().err.splitlines() == [
+        "epoch=1 loss_kind=label loss=2.500000 lr=0.5 decays=0 "
+        "dev_seg_f1=0.2500 dev_parse_f1=0.1250",
+        "charspan: error: diverged in epoch 2",
+    ]
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_train_config_file_with_flag_override(workdir, tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("max_epochs = 2\nbatch_size = 4\nlearning_rate = 0.5\n",

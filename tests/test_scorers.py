@@ -17,29 +17,51 @@ def rep_of(ids):
     return SpanRepresentation(np.asarray(ids, dtype=np.int64), DIM)
 
 
+def full_table(rng):
+    # every id of the tiny feature space has a row
+    return LinearScorer(DIM, LABELS, keys=np.arange(DIM),
+                        rows=rng.normal(size=(DIM, LABELS)))
+
+
 def test_linear_score_is_sum_of_rows():
-    scorer = LinearScorer(DIM, LABELS)
-    rng = np.random.default_rng(0)
-    scorer.W[:] = rng.normal(size=(DIM, LABELS))
+    scorer = full_table(np.random.default_rng(0))
     rep = rep_of([1, 5, 5])
-    expected = scorer.W[1] + 2 * scorer.W[5]  # duplicate ids accumulate
+    expected = scorer.rows[1] + 2 * scorer.rows[5]  # duplicate ids accumulate
     assert np.allclose(scorer.score(rep), expected)
+
+
+def test_linear_ids_without_a_row_score_zero():
+    rows = np.random.default_rng(0).normal(size=(2, LABELS))
+    scorer = LinearScorer(DIM, LABELS, keys=[1, 6], rows=rows)
+    assert np.array_equal(scorer.score(rep_of([1, 5, 5])), rows[0])
+    assert np.array_equal(scorer.score(rep_of([0, 7])), np.zeros(LABELS))
+    # a batch of spans, with -1 for a missing span-string feature
+    batch = scorer.score(rep_of([[6, -1], [1, 6]]))
+    assert np.array_equal(batch, [rows[1], rows[0] + rows[1]])
+
+
+def test_linear_table_rejects_bad_keys():
+    with pytest.raises(ValueError, match="increasing"):
+        LinearScorer(DIM, LABELS, keys=[3, 3], rows=np.zeros((2, LABELS)))
+    with pytest.raises(ValueError, match="increasing"):
+        LinearScorer(DIM, LABELS, keys=[DIM], rows=np.zeros((1, LABELS)))
+    with pytest.raises(ValueError, match="rows"):
+        LinearScorer(DIM, LABELS, keys=[1], rows=np.zeros((2, LABELS)))
 
 
 def test_linear_gradient_matches_finite_difference():
     rng = np.random.default_rng(1)
-    scorer = LinearScorer(DIM, LABELS)
-    scorer.W[:] = rng.normal(size=(DIM, LABELS))
+    scorer = full_table(rng)
     rep = rep_of([0, 3, 3, 7])
     upstream = rng.normal(size=LABELS)
 
     def objective():
         return float(scorer.score(rep) @ upstream)
 
-    numeric = finite_difference(objective, scorer.W)
+    numeric = finite_difference(objective, scorer.rows)
     ids, rows = scorer.backward(rep, upstream)["W"]
-    analytic = np.zeros_like(scorer.W)
-    np.add.at(analytic, ids, rows)
+    analytic = np.zeros_like(scorer.rows)
+    np.add.at(analytic, np.searchsorted(scorer.keys, ids), rows)
     assert relative_error(analytic, numeric) < 1e-7
 
 
@@ -49,9 +71,20 @@ def test_linear_sgd_step_batch_mean():
     upstream = np.array([1.0, 0.0, 0.0])
     grads = [scorer.backward(rep, upstream), scorer.backward(rep, upstream)]
     scorer.sgd_step(grads, lr=0.5, count=4)
-    # two identical gradients averaged over a batch of 4 sentences
-    assert scorer.W[2, 0] == pytest.approx(-0.5 * 2 / 4)
-    assert scorer.W[2, 1] == 0.0
+    # id 2 got a row; two identical gradients averaged over a batch of 4
+    assert scorer.keys.tolist() == [2]
+    assert scorer.rows[0, 0] == pytest.approx(-0.5 * 2 / 4)
+    assert scorer.rows[0, 1] == 0.0
+    assert np.array_equal(scorer.score(rep), scorer.rows[0])
+
+
+def test_linear_register_keeps_rows():
+    scorer = LinearScorer(DIM, LABELS, keys=[4], rows=[[1.0, 2.0, 3.0]])
+    scorer.register([6, 1, 4, -1, 6])
+    assert scorer.keys.tolist() == [1, 4, 6]
+    assert np.array_equal(scorer.rows, [[0, 0, 0], [1, 2, 3], [0, 0, 0]])
+    with pytest.raises(ValueError, match="below"):
+        scorer.register([DIM])
 
 
 def test_mlp_forward_shapes_and_relu():

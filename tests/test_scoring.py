@@ -10,7 +10,7 @@ from charspan.labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
                               oracle_scores, read_score_file, read_scores,
                               score_spans, span_representation, write_scores)
-from charspan.scorers import LinearScorer
+from charspan.scorers import LinearScorer, MLPHead
 from charspan.treebank import parse_bracketed
 
 
@@ -85,6 +85,24 @@ def test_hash_is_stable_across_runs():
     assert rep.ids.tolist() == again.ids.tolist()
 
 
+def test_span_representation_batch_matches_single_spans():
+    chars = "好好好好好好中国好好"  # repeated characters share feature strings
+    starts, ends = np.triu_indices(len(chars) + 1, k=1)
+    batch = span_representation(chars, starts, ends, dim=1 << 12)
+    assert batch.ids.shape == (len(starts), 8)
+    for row, i, j in zip(batch.ids, starts.tolist(), ends.tolist()):
+        single = span_representation(chars, i, j, dim=1 << 12).ids
+        assert (row[6] == -1) == (j - i > 4)
+        assert np.array_equal(row[row >= 0], single)
+
+
+def test_span_representation_batch_rejects_bad_span():
+    with pytest.raises(ValueError, match=r"span \(2, 2\) out of range"):
+        span_representation("abc", np.array([0, 2]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="equal-length"):
+        span_representation("abc", np.array([0, 1]), np.array([1]))
+
+
 def test_span_scores_validation():
     s = SpanScores(3, 4)
     assert s.values.shape == (4, 4, 4)
@@ -98,6 +116,21 @@ def test_span_scores_validation():
         SpanScores(0, 4)
 
 
+def test_span_scores_validation_names_first_span():
+    bad = np.zeros((5, 5, 2))
+    bad[2, 3, 0] = np.nan
+    bad[1, 4, 1] = -np.inf
+    bad[0, 4, 1] = np.inf
+    bad[3, 1, 0] = bad[2, 2, 1] = np.nan  # below the triangle: never read
+    with pytest.raises(ValueError, match=r"span \(0, 4\)$"):
+        SpanScores(4, 2, bad)
+    bad[0, 4, 1] = 0.0
+    with pytest.raises(ValueError, match=r"span \(1, 4\)$"):
+        SpanScores(4, 2, bad)
+    bad[1, 4, 1] = bad[2, 3, 0] = 0.0
+    assert SpanScores(4, 2, bad).values is not None
+
+
 def test_score_spans_zero_scorer():
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
     scorer = LinearScorer(1 << 10, len(vocab))
@@ -106,6 +139,74 @@ def test_score_spans_zero_scorer():
     assert not scores.values.any()
     with pytest.raises(ValueError, match="rng"):
         score_spans(scorer, "很好", vocab, train_mode=True)
+
+
+def test_score_spans_equals_per_span_scores():
+    # one batch per sentence must score every span bit for bit like the
+    # span alone, sign of zero included
+    rng = np.random.default_rng(11)
+    dim = 1 << 9  # small enough that feature ids collide
+    cases = []
+    for labels in (3, 12):
+        rows = rng.normal(size=(dim // 2, labels))
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        vocab = LabelVocab([NULL_LABEL] + [f"X{k}" for k in range(1, labels)])
+        cases.append((LinearScorer(dim, labels, keys=np.arange(0, dim, 2),
+                                   rows=rows), vocab))
+        cases.append((MLPHead(dim, labels, hidden=16, dropout=0.0,
+                              rng=np.random.default_rng(labels)), vocab))
+    for n in range(1, 41):
+        chars = "".join(rng.choice(list("好中国人")) for _ in range(n))
+        reps = {ij: span_representation(chars, *ij, dim) for ij in iter_spans(n)}
+        for scorer, vocab in cases:
+            values = score_spans(scorer, chars, vocab).values
+            for (i, j), rep in reps.items():
+                one = scorer.score(rep)
+                assert np.array_equal(values[i, j], one), (n, i, j)
+                assert np.array_equal(np.signbit(values[i, j]),
+                                      np.signbit(one)), (n, i, j)
+
+
+def test_linear_table_scores_like_the_dense_matrix():
+    # the compact table answers exactly what the dense (dim, L) matrix
+    # summed with numpy did, collisions included
+    rng = np.random.default_rng(5)
+    dim, labels = 64, 12
+    dense = rng.normal(size=(dim, labels))
+    dense[rng.random(dim) < 0.5] = 0.0
+    dense[3] = -0.0  # stored as no row at all
+    kept = np.flatnonzero(np.any(dense != 0.0, axis=1))
+    scorer = LinearScorer(dim, labels, keys=kept, rows=dense[kept])
+    chars = "春眠不觉晓处处闻啼鸟"
+    starts, ends = np.triu_indices(len(chars) + 1, k=1)
+    batch = span_representation(chars, starts, ends, dim).ids
+    got = scorer.score(span_representation(chars, starts, ends, dim))
+    for k, row in enumerate(batch):
+        want = dense[row[row >= 0]].sum(axis=0)
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(np.signbit(got[k]), np.signbit(want))
+
+
+def test_score_spans_train_mode_draws_dropout_per_span():
+    vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
+    head = MLPHead(1 << 9, len(vocab), hidden=8, dropout=0.5,
+                   rng=np.random.default_rng(4))
+    chars = "中国发展"
+    scores = score_spans(head, chars, vocab, train_mode=True,
+                         rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for i, j in iter_spans(len(chars)):
+        row, _ = head.score_train(span_representation(chars, i, j, head.dim), rng)
+        assert np.array_equal(scores.values[i, j], row)
+
+
+def test_score_spans_names_first_nonfinite_span():
+    vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
+    width2 = span_representation("很好的", 0, 2).ids[-1]  # the "W:2" bucket
+    scorer = LinearScorer(1 << 20, len(vocab), keys=[width2],
+                          rows=[[0.0, np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"non-finite values at span \(0, 2\)"):
+        score_spans(scorer, "很好的", vocab)
 
 
 def test_score_spans_label_count_mismatch():

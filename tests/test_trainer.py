@@ -1,8 +1,12 @@
 """Training loop: config, schedule, checkpointing."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from charspan.scoring import score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, ENCODER_LEARNING_RATE,
                               FEATURE_SCORER_LEARNING_RATE,
@@ -150,10 +154,75 @@ def test_checkpoint_linear_round_trip(trained, tiny_corpus, tmp_path):
     assert loaded.labels == ckpt.labels
     assert loaded.epoch == ckpt.epoch
     assert loaded.best_dev_f1 == ckpt.best_dev_f1
-    assert np.array_equal(loaded.params["W"], ckpt.params["W"])
+    # the file keeps the nonzero rows of the table, keyed by hashed id
+    nonzero = np.any(ckpt.params["rows"] != 0.0, axis=1)
+    assert np.array_equal(loaded.params["keys"], ckpt.params["keys"][nonzero])
+    assert np.array_equal(loaded.params["rows"], ckpt.params["rows"][nonzero])
     a = evaluate_dev(ckpt, tiny_corpus)
     b = evaluate_dev(loaded, tiny_corpus)
     assert a == b
+
+
+def test_loading_linear_checkpoint_builds_no_dense_matrix(trained, tmp_path):
+    ckpt, _ = trained
+    assert ckpt.feature_dim == LINEAR_FEATURE_DIM
+    path = tmp_path / "linear.npz"
+    ckpt.save(path)
+    sentence = "".join(synthesize_corpus(1, seed=2)[0].leaves())
+    tracemalloc.start()  # numpy reports its array buffers here too
+    try:
+        loaded = Checkpoint.load(path)
+        scorer = loaded.build_scorer()
+        score_spans(scorer, sentence, loaded.vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 per feature id would already take 8 * feature_dim bytes
+    assert peak < 8 * LINEAR_FEATURE_DIM
+    assert len(scorer.keys) < LINEAR_FEATURE_DIM // 100
+
+
+def _stored_rows_sha256(ckpt, path):
+    ckpt.save(path)
+    with np.load(path) as data:
+        return hashlib.sha256(data["W_ids"].tobytes()
+                              + data["W_rows"].tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("feature_dim, sha256", [
+    # the default 2^20 buckets: 945 stored rows over 9 epochs, tree epochs
+    # included
+    (None, "51eac4587b2bce4f09b49ef95e37438fd6dea2a345aa3d66c0bf4f512ac4691f"),
+    # 64 buckets: nearly every id collides, and all 64 rows are stored
+    (64, "d1fb4e0d5d8da4936f3a469accc156afb02f7c8f8aba367c55941311d3ac3613"),
+])
+def test_training_arithmetic_is_pinned(trained, tiny_corpus, tmp_path,
+                                       feature_dim, sha256):
+    # Any change to feature ids, to the order rows are summed in, or to the
+    # order SGD updates land in shows up in these bytes.
+    if feature_dim is None:
+        ckpt, _ = trained
+    else:
+        ckpt = train(tiny_corpus, tiny_corpus,
+                     TrainConfig(scorer="linear", learning_rate=0.5,
+                                 batch_size=4, label_loss_epochs=2,
+                                 max_epochs=4, seed=3,
+                                 feature_dim=feature_dim))
+    assert _stored_rows_sha256(ckpt, tmp_path / "m.npz") == sha256
+
+
+def test_mlp_training_arithmetic_is_pinned(tiny_corpus):
+    # dropout masks drawn for a whole sentence at once must be the ones
+    # drawn span by span
+    ckpt = train(tiny_corpus, tiny_corpus,
+                 TrainConfig(scorer="mlp", learning_rate=0.05, batch_size=4,
+                             label_loss_epochs=2, max_epochs=3, seed=1,
+                             mlp_hidden=16, feature_dim=1 << 10))
+    digest = hashlib.sha256()
+    for name in sorted(ckpt.params):
+        digest.update(ckpt.params[name].tobytes())
+    assert digest.hexdigest() == (
+        "350bc5925fb695a27f9cd06173a4e23d40c3fac4db4491cfaa179f7085ad69e8")
 
 
 def test_checkpoint_mlp_round_trip(tiny_corpus, tmp_path):
