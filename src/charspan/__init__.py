@@ -18,7 +18,7 @@ from .losses import LossValue, label_loss, tree_loss
 from .metrics import PRF, constituents, joint_report, parse_f1, seg_f1
 from .scorers import LinearScorer, MLPHead, mlp_backward
 from .scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
-                      read_score_file, read_scores, score_spans,
+                      read_score_file, score_spans,
                       span_representation, write_scores)
 from .synthesis import synthesize_bench_corpus, synthesize_corpus
 from .trainer import Checkpoint, TrainConfig, evaluate_dev, train
@@ -38,8 +38,7 @@ __all__ = [
     "serialize_char_tree", "parse_char_trees", "load_char_trees",
     "save_char_trees",
     "LabelVocab", "SpanScores", "build_vocab", "span_representation",
-    "score_spans", "oracle_scores", "write_scores", "read_scores",
-    "read_score_file",
+    "score_spans", "oracle_scores", "write_scores", "read_score_file",
     "LinearScorer", "MLPHead", "mlp_backward",
     "DecodeConfig", "apply_masks", "available_backends", "cky_decode",
     "brute_force_decode", "tree_score",

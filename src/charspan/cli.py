@@ -238,7 +238,7 @@ def cmd_bench(args) -> int:
             return score_spans(scorer, sentence, vocab)
         rng = np.random.default_rng((args.seed, index))
         n = len(sentence)
-        values = rng.uniform(-1.0, 1.0, (n + 1, n + 1, len(vocab)))
+        values = rng.uniform(-1.0, 1.0, (n * (n + 1) // 2, len(vocab)))
         return SpanScores(n, len(vocab), values, validate=False)
 
     prepared = [make_scores(k, s) for k, s in enumerate(sentences)]

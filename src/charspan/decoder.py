@@ -1,5 +1,8 @@
 """Maximum-score binary tree over SpanScores.
 
+Scores arrive packed, one row per span in ``iter_spans`` order (the line
+order of a score file); the chart and its backtrace are indexed by (i, j).
+
 ``cky_decode`` fills a chart bottom-up and backtraces top-down.  Because no
 grammar couples a span's label to its children's labels, the recursion
 splits into an independent per-span best label plus a best split point,
@@ -22,7 +25,7 @@ import numpy as np
 
 from .chartree import CharTree
 from .labels import is_char_label
-from .scoring import LabelVocab, SpanScores, iter_spans
+from .scoring import LabelVocab, SpanScores, iter_spans, span_bounds, span_row
 
 PLACEHOLDER_CHAR = "□"
 
@@ -62,24 +65,24 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
     n = scores.n
     if config.constrain_char_labels:
         char_final = np.array([is_char_label(lab) for lab in vocab.labels])
-        ii = np.arange(n)
-        v[ii[:, None], (ii + 1)[:, None], np.flatnonzero(~char_final)[None, :]] = -np.inf
-        if n > 1:
-            wi, wj = np.triu_indices(n + 1, k=2)
-            v[wi[:, None], wj[:, None], np.flatnonzero(char_final)[None, :]] = -np.inf
+        width1 = np.zeros(len(v), dtype=bool)
+        width1[span_row(n, np.arange(n), np.arange(1, n + 1))] = True
+        v[np.ix_(width1, ~char_final)] = -np.inf
+        v[np.ix_(~width1, char_final)] = -np.inf
     if config.require_nonnull_root:
-        v[0, n, vocab.null_id] = -np.inf
-    usable = np.isfinite(v).any(axis=2)
-    si, sj = np.triu_indices(n + 1, k=1)
-    bad = ~usable[si, sj]
+        v[span_row(n, 0, n), vocab.null_id] = -np.inf
+    bad = ~np.isfinite(v).any(axis=1)
     if bad.any():
+        si, sj = span_bounds(n)
         k = int(np.argmax(bad))
         raise ValueError(f"masking left span ({si[k]}, {sj[k]}) with no usable label")
     return out
 
 
 def fill_chart(values: np.ndarray, n: int):
-    """Chart arrays (best_combined, best_label, best_split) for ``values``.
+    """Chart arrays (best_combined, best_label, best_split) for the packed
+    (n(n+1)/2, L) score rows ``values``, each an (n+1, n+1) array indexed
+    by span (i, j).
 
     Entries off the upper triangle, and splits of length-1 spans, are 0.
     The split DP runs one width at a time over two copies of the chart,
@@ -87,10 +90,12 @@ def fill_chart(values: np.ndarray, n: int):
     so the left and the right parts of all splits of a width are two
     forward slices that line up split by split.
     """
-    bestlab = np.triu(values.argmax(axis=2), 1)
-    si, sj = np.triu_indices(n + 1, k=1)
+    labels = values.argmax(axis=1)
+    si, sj = span_bounds(n)
+    bestlab = np.zeros((n + 1, n + 1), dtype=labels.dtype)
+    bestlab[si, sj] = labels
     by_start = np.zeros((n + 1, n + 1))
-    by_start[si, sj - si] = values[si, sj, bestlab[si, sj]]
+    by_start[si, sj - si] = values[np.arange(len(values)), labels]
     by_end = np.zeros((n + 1, n + 1))
     by_end[1:, n - 1] = by_start[:n, 1]
     split = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -138,7 +143,7 @@ def tree_score(scores: SpanScores, vocab: LabelVocab, tree: CharTree) -> float:
     """Sum of the tree's chosen span scores, associated exactly as the
     chart fill associates them, so it reproduces cky_decode's total."""
     i, j = tree.span
-    v = float(scores.values[i, j, vocab.index[tree.label]])
+    v = float(scores.values[span_row(scores.n, i, j), vocab.index[tree.label]])
     if tree.char is not None:
         return v
     return v + (tree_score(scores, vocab, tree.left)
@@ -149,11 +154,11 @@ def _span_argmax(values: np.ndarray, n: int, num_labels: int):
     # Deliberately a plain scan, sharing no code with the chart fills.
     bestlab = {}
     labscore = {}
-    for i, j in iter_spans(n):
+    for (i, j), row in zip(iter_spans(n), values):
         arg = 0
-        best = values[i, j, 0]
+        best = row[0]
         for l in range(1, num_labels):
-            v = values[i, j, l]
+            v = row[l]
             if v > best:
                 # strict >: the first maximum, i.e. smallest label id, wins
                 best = v

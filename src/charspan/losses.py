@@ -21,7 +21,7 @@ import numpy as np
 
 from .chartree import CharTree, gold_span_labels
 from .decoder import DecodeConfig, cky_decode, tree_score
-from .scoring import GoldSpanMap, LabelVocab, SpanScores, iter_spans
+from .scoring import GoldSpanMap, LabelVocab, SpanScores, iter_spans, span_row
 
 MARGIN_MODES = ("flat", "hamming")
 
@@ -55,7 +55,7 @@ def label_loss(scores: SpanScores, gold: GoldSpanMap, vocab: LabelVocab,
         if label not in vocab.index:
             raise ValueError(f"gold label {label!r} missing from vocabulary")
         target = vocab.index[label]
-        row = scores.values[i, j]
+        row = scores.values[span_row(scores.n, i, j)]
         m = row.max()
         lse = m + np.log(np.exp(row - m).sum())
         total += float(lse - row[target])
@@ -93,7 +93,8 @@ def tree_loss(scores: SpanScores, gold_tree: CharTree, vocab: LabelVocab,
     # Reassign the originals instead of subtracting m back, so gold entries
     # are bitwise-exact.
     for (i, j, l) in gold_pairs:
-        augmented[i, j, l] = scores.values[i, j, l]
+        k = span_row(scores.n, i, j)
+        augmented[k, l] = scores.values[k, l]
     pred_tree, _ = cky_decode(SpanScores(scores.n, scores.num_labels, augmented,
                                          validate=False), vocab, config)
     if pred_tree == gold_tree:

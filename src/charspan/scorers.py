@@ -153,20 +153,38 @@ class MLPHead:
     """Two-layer perceptron head: relu(x W1 + b1) W2 + b2.
 
     ``dropout`` is applied to the hidden layer only in ``score_train``,
-    with inverted scaling.
+    with inverted scaling.  The weights are drawn from ``rng``, or copied
+    from ``params`` (W1, b1, W2, b2 of the ``param_shapes`` shapes).
     """
 
     def __init__(self, dim: int, num_labels: int, hidden: int = 250,
-                 dropout: float = 0.2, rng: np.random.Generator | None = None):
+                 dropout: float = 0.2, rng: np.random.Generator | None = None,
+                 params: dict[str, np.ndarray] | None = None):
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.W1 = rng.normal(0.0, 0.01, size=(dim, hidden))
-        self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, num_labels))
-        self.b2 = np.zeros(num_labels)
+        shapes = self.param_shapes(dim, num_labels, hidden)
+        if params is None:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            params = {"W1": rng.normal(0.0, 0.01, size=shapes["W1"]),
+                      "b1": np.zeros(hidden),
+                      "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=shapes["W2"]),
+                      "b2": np.zeros(num_labels)}
+        else:
+            params = {name: np.array(params[name], dtype=np.float64)
+                      for name in shapes}
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ValueError(f"expected {name} of shape {shape}, "
+                                 f"got {params[name].shape}")
+            setattr(self, name, params[name])
         self.dropout = dropout
+
+    @staticmethod
+    def param_shapes(dim: int, num_labels: int, hidden: int) -> dict[str, tuple]:
+        """Shape of each parameter array of a head of these sizes."""
+        return {"W1": (dim, hidden), "b1": (hidden,), "W2": (hidden, num_labels),
+                "b2": (num_labels,)}
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,10 @@ A sentence of n characters has n(n+1)/2 spans (i, j), 0 <= i < j <= n, and
 each span gets one real score per label.  Scores come from one of three
 places: the trainable scorers in ``scorers`` (built on the hashed boundary
 features below), a score file written by an external model, or the test
-oracle ``oracle_scores``.
+oracle ``oracle_scores``.  Wherever they come from, they are packed into an
+(n(n+1)/2, L) array whose row ``span_row(n, i, j)`` holds span (i, j), so
+the rows follow ``iter_spans`` order, which is also the line order of a
+score file.
 
 Span features are a deterministic stand-in for a neural span encoder:
 boundary character unigrams at i-1, i, j-1, j (with sentinel code points
@@ -98,18 +101,30 @@ def iter_spans(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
-class SpanScores:
-    """Dense (n+1, n+1, L) array of per-span label scores.
+def span_row(n: int, i, j):
+    """Row of span (i, j) in a packed score array: its index in
+    ``iter_spans(n)``.  ``i`` and ``j`` may be integer arrays."""
+    return i * (2 * n - i + 1) // 2 + j - i - 1
 
-    Only the strict upper triangle i < j is meaningful.  Values are finite
-    on creation; decoder masks may later write -inf.
+
+def span_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of all spans, one entry per packed row."""
+    return np.triu_indices(n + 1, k=1)
+
+
+class SpanScores:
+    """Packed (n(n+1)/2, L) array of per-span label scores.
+
+    Row ``span_row(n, i, j)`` holds span (i, j)'s scores, so the rows run
+    in ``iter_spans`` order, the line order of a score file.  Values are
+    finite on creation; decoder masks may later write -inf.
     """
 
     def __init__(self, n: int, num_labels: int, values: np.ndarray | None = None,
                  validate: bool = True):
         if n < 1:
             raise ValueError("sentence length must be at least 1")
-        shape = (n + 1, n + 1, num_labels)
+        shape = (n * (n + 1) // 2, num_labels)
         if values is None:
             values = np.zeros(shape)
             validate = False
@@ -117,9 +132,9 @@ class SpanScores:
         if values.shape != shape:
             raise ValueError(f"expected score array of shape {shape}, got {values.shape}")
         if validate:
-            starts, ends = np.triu_indices(n + 1, k=1)
-            bad = ~np.isfinite(values).all(axis=2)[starts, ends]
+            bad = ~np.isfinite(values).all(axis=1)
             if bad.any():
+                starts, ends = span_bounds(n)
                 k = int(bad.argmax())
                 raise ValueError(f"non-finite score at span ({starts[k]}, {ends[k]})")
         self.n = n
@@ -227,8 +242,7 @@ def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
     if train_mode and rng is None:
         raise ValueError("train_mode scoring needs an explicit rng")
     n = len(chars)
-    out = SpanScores(n, len(vocab))
-    starts, ends = np.triu_indices(n + 1, k=1)  # lexicographic span order
+    starts, ends = span_bounds(n)
     rep = span_representation(chars, starts, ends, scorer.dim)
     if train_mode:
         rows, _ = scorer.score_train(rep, rng)
@@ -239,8 +253,7 @@ def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
         k = int(bad.argmax())
         raise ValueError(f"scorer produced non-finite values at span "
                          f"({starts[k]}, {ends[k]})")
-    out.values[starts, ends] = rows
-    return out
+    return SpanScores(n, len(vocab), rows, validate=False)
 
 
 def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:
@@ -249,7 +262,7 @@ def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:
     for (i, j), label in gold.entries.items():
         if label not in vocab.index:
             raise ValueError(f"gold label {label!r} missing from vocabulary")
-        scores.values[i, j, vocab.index[label]] = 1.0
+        scores.values[span_row(gold.n, i, j), vocab.index[label]] = 1.0
     return scores
 
 
@@ -260,7 +273,8 @@ def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:
 #   #labels NULL <label_1> ... <label_{L-1}>
 #   <i> <j> <v_0> ... <v_{L-1}>     one line per span, lexicographic order
 #
-# with a blank line after each sentence block.
+# with a blank line after each sentence block.  The span lines are the rows
+# of the packed score array, in order.
 
 
 def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
@@ -270,8 +284,7 @@ def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
     header_labels = [NULL_TOKEN if lab == NULL_LABEL else lab for lab in vocab.labels]
     sink.write(f"#scores {sentence_id} {scores.n} {scores.num_labels}\n")
     sink.write("#labels " + " ".join(header_labels) + "\n")
-    for i, j in iter_spans(scores.n):
-        row = scores.values[i, j]
+    for (i, j), row in zip(iter_spans(scores.n), scores.values):
         if not np.isfinite(row).all():
             raise ValueError(f"refusing to write non-finite score at span ({i}, {j})")
         sink.write(f"{i} {j} " + " ".join(format(v, ".17g") for v in row) + "\n")
@@ -310,13 +323,12 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
                          f"found {len(labels)}")
     vocab = LabelVocab(labels)
     scores = SpanScores(n, num_labels)
-    expected = list(iter_spans(n))
-    got = 0
-    for (i, j) in expected:
+    for k, (i, j) in enumerate(iter_spans(n)):
         try:
             lineno, text = next(lines)
         except StopIteration:
-            raise ValueError(f"expected {len(expected)} span lines, found {got}") from None
+            raise ValueError(f"expected {len(scores.values)} span lines, "
+                             f"found {k}") from None
         parts = text.split()
         if len(parts) != 2 + num_labels:
             raise ValueError(f"line {lineno}: expected 2 offsets and {num_labels} "
@@ -330,23 +342,13 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
             raise ValueError(f"line {lineno}: non-numeric score value") from None
         if not all(np.isfinite(row)):
             raise ValueError(f"line {lineno}: non-finite score value")
-        scores.values[i, j] = row
-        got += 1
+        scores.values[k] = row
     return sentence_id, scores, vocab
 
 
 def _numbered(source: TextIO) -> Iterator[tuple[int, str]]:
     for k, line in enumerate(source, start=1):
         yield k, line
-
-
-def read_scores(source: TextIO) -> tuple[SpanScores, LabelVocab]:
-    """Read the first sentence block from an open score file."""
-    block = _read_block(_numbered(source))
-    if block is None:
-        raise ValueError("missing header: empty score file")
-    _, scores, vocab = block
-    return scores, vocab
 
 
 def read_score_file(source: TextIO) -> tuple[list[tuple[str, SpanScores]], LabelVocab]:

@@ -29,7 +29,7 @@ from .losses import label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
 from .scorers import LinearScorer, MLPHead, span_cache
 from .scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
-                      span_representation, score_spans)
+                      span_bounds, span_representation, span_row, score_spans)
 
 # Rate for finetuning a pretrained encoder; documented for users plugging
 # in external scores, not used by the feature scorers below.
@@ -142,11 +142,8 @@ class Checkpoint:
         if self.scorer_kind == "linear":
             return LinearScorer(self.feature_dim, len(self.labels),
                                 self.params["keys"], self.params["rows"])
-        scorer = MLPHead(self.feature_dim, len(self.labels), self.mlp_hidden,
-                         self.dropout, rng=np.random.default_rng(0))
-        for name, value in self.params.items():
-            getattr(scorer, name)[...] = value
-        return scorer
+        return MLPHead(self.feature_dim, len(self.labels), self.mlp_hidden,
+                       self.dropout, params=self.params)
 
     def save(self, path) -> None:
         arrays = {
@@ -173,18 +170,37 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a checkpoint; a missing array, one of the wrong shape or an
+        unknown scorer kind raises ValueError naming ``path``."""
         with np.load(path, allow_pickle=False) as data:
-            kind = str(data["scorer_kind"])
-            labels = [str(x) for x in data["labels"]]
-            dim = int(data["feature_dim"])
+            def array(name: str, shape: tuple) -> np.ndarray:
+                # None in ``shape`` matches any length
+                if name not in data.files:
+                    raise ValueError(f"{path}: checkpoint has no {name!r} array")
+                value = data[name]
+                if value.ndim != len(shape) or any(
+                        want not in (None, got) for want, got in zip(shape, value.shape)):
+                    raise ValueError(f"{path}: checkpoint array {name!r} has shape "
+                                     f"{value.shape}, expected {shape}")
+                return value
+
+            kind = str(array("scorer_kind", ()))
+            labels = [str(x) for x in array("labels", (None,))]
+            dim = int(array("feature_dim", ()))
+            hidden = int(array("mlp_hidden", ()))
             if kind == "linear":
-                params = {"keys": data["W_ids"], "rows": data["W_rows"]}
+                keys = array("W_ids", (None,))
+                params = {"keys": keys,
+                          "rows": array("W_rows", (len(keys), len(labels)))}
+            elif kind == "mlp":
+                shapes = MLPHead.param_shapes(dim, len(labels), hidden)
+                params = {name: array("p_" + name, shape)
+                          for name, shape in shapes.items()}
             else:
-                params = {name[2:]: data[name].copy() for name in data.files
-                          if name.startswith("p_")}
-            return cls(kind, params, labels, dim, int(data["mlp_hidden"]),
-                       float(data["dropout"]), int(data["epoch"]),
-                       float(data["best_dev_f1"]), int(data["decays"]))
+                raise ValueError(f"{path}: unknown scorer kind {kind!r}")
+            return cls(kind, params, labels, dim, hidden,
+                       float(array("dropout", ())), int(array("epoch", ())),
+                       float(array("best_dev_f1", ())), int(array("decays", ())))
 
 
 def _make_scorer(config: TrainConfig, dim: int, num_labels: int,
@@ -194,15 +210,12 @@ def _make_scorer(config: TrainConfig, dim: int, num_labels: int,
     return MLPHead(dim, num_labels, config.mlp_hidden, config.dropout, rng=rng)
 
 
-def _sentence_pass(scorer, chars, spans, gold_map, gold_ct, vocab, kind,
+def _sentence_pass(scorer, chars, rep, gold_map, gold_ct, vocab, kind,
                    config: TrainConfig, decode_cfg: DecodeConfig,
                    rng: np.random.Generator):
-    starts, ends, rep = spans
     n = len(chars)
     batch, cache = scorer.score_train(rep, rng)
-    values = np.zeros((n + 1, n + 1, len(vocab)))
-    values[starts, ends] = batch
-    scores = SpanScores(n, len(vocab), values, validate=False)
+    scores = SpanScores(n, len(vocab), batch, validate=False)
     if kind == "label":
         lv = label_loss(scores, gold_map, vocab, spans=config.loss_spans)
     else:
@@ -216,7 +229,7 @@ def _sentence_pass(scorer, chars, spans, gold_map, gold_ct, vocab, kind,
         row[l] = g
     grads = []
     for (i, j), row in rows.items():
-        k = i * (2 * n - i + 1) // 2 + j - i - 1  # (i, j)'s lexicographic index
+        k = span_row(n, i, j)
         ids = rep.ids[k]
         grads.append(scorer.backward(SpanRepresentation(ids[ids >= 0], rep.dim),
                                      row, span_cache(cache, k)))
@@ -267,13 +280,12 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
     rng = np.random.default_rng(config.seed)
     scorer = _make_scorer(config, dim, len(vocab), rng)
     decode_cfg = DecodeConfig()
-    spans = []  # per sentence: span starts, span ends, their feature ids
-    for chars in sentences:
-        starts, ends = np.triu_indices(len(chars) + 1, k=1)
-        spans.append((starts, ends, span_representation(chars, starts, ends, dim)))
+    # per sentence, the feature ids of its spans in packed row order
+    reps = [span_representation(chars, *span_bounds(len(chars)), dim)
+            for chars in sentences]
     if config.scorer == "linear":
         # every row SGD will update exists before the first step
-        scorer.register(np.concatenate([rep.ids for _, _, rep in spans]))
+        scorer.register(np.concatenate([rep.ids for rep in reps]))
 
     lr = config.effective_learning_rate
     best_f1 = -1.0
@@ -291,7 +303,7 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
             grads = []
             for s in batch:
                 value, sent_grads = _sentence_pass(
-                    scorer, sentences[s], spans[s], gold_maps[s], gold_char[s],
+                    scorer, sentences[s], reps[s], gold_maps[s], gold_char[s],
                     vocab, kind, config, decode_cfg, rng)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite {kind} loss in batch "

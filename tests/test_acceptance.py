@@ -22,7 +22,8 @@ from charspan.losses import label_loss, tree_loss
 from charspan.metrics import joint_report, parse_f1, seg_f1
 from charspan.scorers import MLPHead, mlp_backward
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
-                              oracle_scores, span_representation, write_scores)
+                              oracle_scores, span_representation, span_row,
+                              write_scores)
 from charspan.synthesis import synthesize_bench_corpus, synthesize_corpus
 from charspan.trainer import TrainConfig, train
 from charspan.treebank import load_corpus, parse_bracketed, save_corpus
@@ -74,7 +75,8 @@ def test_criterion_2_decoder_optimality():
         n = int(rng.integers(1, 9))
         vocab = vocabs[case % len(vocabs)]
         values = rng.uniform(-1.0, 1.0, (n + 1, n + 1, len(vocab)))
-        scores = SpanScores(n, len(vocab), values, validate=False)
+        scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)],
+                            validate=False)
         tree_c, total_c = cky_decode(scores, vocab)
         tree_b, total_b = brute_force_decode(scores, vocab)
         assert abs(total_c - total_b) <= 1e-9, f"case {case}"
@@ -173,13 +175,14 @@ def test_criterion_4_gradient_checks():
     def numeric_grad(loss_fn, scores, eps):
         keys, numeric = [], []
         for i, j in iter_spans(scores.n):
+            k = span_row(scores.n, i, j)
             for l in range(scores.num_labels):
-                saved = scores.values[i, j, l]
-                scores.values[i, j, l] = saved + eps
+                saved = scores.values[k, l]
+                scores.values[k, l] = saved + eps
                 hi = loss_fn(scores).value
-                scores.values[i, j, l] = saved - eps
+                scores.values[k, l] = saved - eps
                 lo = loss_fn(scores).value
-                scores.values[i, j, l] = saved
+                scores.values[k, l] = saved
                 keys.append((i, j, l))
                 numeric.append((hi - lo) / (2 * eps))
         return keys, np.array(numeric)
@@ -188,8 +191,8 @@ def test_criterion_4_gradient_checks():
     for case in range(100):
         ct, gold = golds[case % len(golds)]
         n = gold.n
-        scores = SpanScores(n, len(vocab),
-                            rng.normal(0, 1, (n + 1, n + 1, len(vocab))),
+        values = rng.normal(0, 1, (n + 1, n + 1, len(vocab)))
+        scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)],
                             validate=False)
         loss = label_loss(scores, gold, vocab)
         keys, numeric = numeric_grad(lambda s: label_loss(s, gold, vocab),
@@ -208,10 +211,10 @@ def test_criterion_4_gradient_checks():
         aug = scores.copy()
         aug.values += margin
         for (i, j, l) in gold_pairs:
-            aug.values[i, j, l] = scores.values[i, j, l]
+            k = span_row(scores.n, i, j)
+            aug.values[k, l] = scores.values[k, l]
         masked = apply_masks(aug, vocab, DecodeConfig())
-        for i, j in iter_spans(scores.n):
-            row = masked.values[i, j]
+        for row in masked.values:
             finite = np.sort(row[np.isfinite(row)])[::-1]
             if len(finite) > 1 and finite[0] - finite[1] < gap:
                 return False
@@ -228,8 +231,8 @@ def test_criterion_4_gradient_checks():
         assert attempts < 2000, "ran out of perturbation-stable draws"
         ct, gold = golds[attempts % len(golds)]
         n = gold.n
-        scores = SpanScores(n, len(vocab),
-                            rng.normal(0, 1, (n + 1, n + 1, len(vocab))),
+        values = rng.normal(0, 1, (n + 1, n + 1, len(vocab)))
+        scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)],
                             validate=False)
         if not stable(scores, ct, vocab, 1.0 / (2 * n - 1)):
             continue

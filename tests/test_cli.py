@@ -4,14 +4,18 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import io
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from charspan.chartree import gold_span_labels, to_char_tree
+from charspan.scorers import MLPHead
 from charspan.scoring import build_vocab, oracle_scores, write_scores
 from charspan.synthesis import synthesize_corpus
+from charspan.trainer import Checkpoint
 from charspan.treebank import load_corpus, save_corpus
 
 
@@ -226,6 +230,38 @@ def test_parse_threads_match_single_thread(workdir, checkpoint, tmp_path):
                         "--output", str(out), "--threads", threads)
             assert r.returncode == 0, r.stderr
         assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint(workdir):
+    path = workdir / "mlp.npz"
+    vocab = build_vocab(to_char_tree(t) for t in load_corpus(workdir / "gold.txt"))
+    head = MLPHead(1 << 8, len(vocab), hidden=4, dropout=0.0)
+    Checkpoint("mlp", head.params(), vocab.labels, 1 << 8, 4, 0.0, 1, 0.0,
+               0).save(path)
+    return path
+
+
+@pytest.mark.parametrize("kind, drop, replace, message", [
+    ("mlp", "p_W2", {}, "no 'p_W2' array"),
+    ("mlp", None, {"p_b1": np.zeros(1)}, r"'p_b1' has shape \(1,\), expected \(4,\)"),
+    ("linear", "W_ids", {}, "no 'W_ids' array"),
+], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids"])
+def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
+                                            tmp_path, kind, drop, replace,
+                                            message):
+    source = mlp_checkpoint if kind == "mlp" else checkpoint
+    with np.load(source) as data:
+        arrays = {name: data[name] for name in data.files if name != drop}
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **{**arrays, **replace})
+    args = ("--input", str(workdir / "sents.txt"), "--output", str(tmp_path / "o.txt"))
+    r = run_cli("parse", "--checkpoint", str(source), *args)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("parse", "--checkpoint", str(bad), *args)
+    assert r.returncode == 2
+    assert re.search(f"charspan: error: {re.escape(str(bad))}: .*{message}", r.stderr), r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_eval_report_file(workdir, tmp_path):

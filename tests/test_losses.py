@@ -10,7 +10,7 @@ from charspan.decoder import DecodeConfig, brute_force_decode, cky_decode
 from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
-                              oracle_scores)
+                              oracle_scores, span_row)
 from charspan.treebank import parse_bracketed
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "VV+@1", "NN", "@2", "IP"])
@@ -23,26 +23,28 @@ def gold_word(text="(NN 飞机场)"):
 
 def random_scores(rng, n, num_labels=len(VOCAB), scale=1.0):
     values = rng.normal(0.0, scale, (n + 1, n + 1, num_labels))
-    return SpanScores(n, num_labels, values, validate=False)
+    return SpanScores(n, num_labels, values[np.triu_indices(n + 1, k=1)],
+                      validate=False)
 
 
 def apply_gradient(scores, gradient, step):
     out = scores.copy()
     for (i, j, l), g in gradient.items():
-        out.values[i, j, l] -= step * g
+        out.values[span_row(out.n, i, j), l] -= step * g
     return out
 
 
 def numeric_gradient(loss_fn, scores, eps=1e-6):
     grad = {}
     for i, j in iter_spans(scores.n):
+        k = span_row(scores.n, i, j)
         for l in range(scores.num_labels):
-            saved = scores.values[i, j, l]
-            scores.values[i, j, l] = saved + eps
+            saved = scores.values[k, l]
+            scores.values[k, l] = saved + eps
             hi = loss_fn(scores).value
-            scores.values[i, j, l] = saved - eps
+            scores.values[k, l] = saved - eps
             lo = loss_fn(scores).value
-            scores.values[i, j, l] = saved
+            scores.values[k, l] = saved
             grad[i, j, l] = (hi - lo) / (2 * eps)
     return grad
 
@@ -60,7 +62,7 @@ def test_label_loss_vanishes_on_confident_scores():
     ct, gold = gold_word()
     scores = SpanScores(3, len(VOCAB))
     for i, j in iter_spans(3):
-        scores.values[i, j, VOCAB.index[gold.label_of(i, j)]] = 60.0
+        scores.values[span_row(3, i, j), VOCAB.index[gold.label_of(i, j)]] = 60.0
     loss = label_loss(scores, gold, VOCAB)
     assert loss.value < 1e-12
     assert all(abs(g) < 1e-12 for g in loss.score_gradient.values())
@@ -121,11 +123,11 @@ def test_tree_loss_fully_wrong_tree_flat_margin_is_one():
     ct, gold = gold_word()
     scores = SpanScores(3, len(VOCAB))
     v = scores.values
-    v[0, 1, VOCAB.index["VV+@1"]] = 10.0
-    v[1, 2, VOCAB.index["VV+@1"]] = 10.0
-    v[2, 3, VOCAB.index["VV+@1"]] = 10.0
-    v[1, 3, VOCAB.index[NULL_LABEL]] = 10.0  # forces split k=1, not gold's k=2
-    v[0, 3, VOCAB.index["IP"]] = 10.0
+    v[span_row(3, 0, 1), VOCAB.index["VV+@1"]] = 10.0
+    v[span_row(3, 1, 2), VOCAB.index["VV+@1"]] = 10.0
+    v[span_row(3, 2, 3), VOCAB.index["VV+@1"]] = 10.0
+    v[span_row(3, 1, 3), VOCAB.index[NULL_LABEL]] = 10.0  # forces split k=1, not gold's k=2
+    v[span_row(3, 0, 3), VOCAB.index["IP"]] = 10.0
 
     pred, s_pred = cky_decode(scores, VOCAB)
     pred_pairs = {(n.span, n.label) for n in _nodes(pred)}
@@ -153,7 +155,7 @@ def test_tree_loss_margin_scales_with_overlap():
     ct, gold = gold_word()
     scores = oracle_scores(gold, VOCAB)
     # make the wrong root label irresistible
-    scores.values[0, 3, VOCAB.index["IP"]] = 50.0
+    scores.values[span_row(3, 0, 3), VOCAB.index["IP"]] = 50.0
     flat = tree_loss(scores, ct, VOCAB, margin_mode="flat")
     hamming = tree_loss(scores, ct, VOCAB, margin_mode="hamming")
     # raw decode picks the same tree shape with root IP: one wrong pair
@@ -211,14 +213,14 @@ def test_tree_loss_agrees_with_brute_force_augmented_decode():
         aug = scores.copy()
         aug.values += m
         for (i, j, l) in gold_pairs:
-            aug.values[i, j, l] = scores.values[i, j, l]
+            aug.values[span_row(3, i, j), l] = scores.values[span_row(3, i, j), l]
         pred, _ = brute_force_decode(aug, VOCAB)
         pred_pairs = {(n.span[0], n.span[1], VOCAB.index[n.label])
                       for n in _nodes(pred)}
         expected = 0.0
         if pred_pairs != gold_pairs:
-            s_pred = sum(scores.values[i, j, l] for (i, j, l) in pred_pairs)
-            s_gold = sum(scores.values[i, j, l] for (i, j, l) in gold_pairs)
+            s_pred = sum(scores.values[span_row(3, i, j), l] for (i, j, l) in pred_pairs)
+            s_gold = sum(scores.values[span_row(3, i, j), l] for (i, j, l) in gold_pairs)
             expected = max(0.0, s_pred + m * len(pred_pairs - gold_pairs) - s_gold)
         loss = tree_loss(scores, ct, VOCAB)
         assert loss.value == pytest.approx(expected, abs=1e-12)
@@ -237,7 +239,7 @@ def test_tree_loss_respects_decode_config():
     # the augmented argmax and therefore the loss
     ct, gold = gold_word()
     scores = oracle_scores(gold, VOCAB)
-    scores.values[0, 3, VOCAB.index[NULL_LABEL]] = 50.0
+    scores.values[span_row(3, 0, 3), VOCAB.index[NULL_LABEL]] = 50.0
     default = tree_loss(scores, ct, VOCAB)
     relaxed = tree_loss(scores, ct, VOCAB,
                         config=DecodeConfig(require_nonnull_root=False))

@@ -8,8 +8,9 @@ import pytest
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
-                              oracle_scores, read_score_file, read_scores,
-                              score_spans, span_representation, write_scores)
+                              oracle_scores, read_score_file, score_spans,
+                              span_bounds, span_representation, span_row,
+                              write_scores)
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.treebank import parse_bracketed
 
@@ -17,6 +18,15 @@ from charspan.treebank import parse_bracketed
 def test_iter_spans_lexicographic():
     assert list(iter_spans(3)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert len(list(iter_spans(8))) == 8 * 9 // 2
+
+
+def test_span_rows_follow_iter_spans():
+    for n in range(1, 30):
+        spans = list(iter_spans(n))
+        starts, ends = span_bounds(n)
+        assert list(zip(starts.tolist(), ends.tolist())) == spans
+        assert [span_row(n, i, j) for i, j in spans] == list(range(len(spans)))
+        assert np.array_equal(span_row(n, starts, ends), np.arange(len(spans)))
 
 
 def test_label_vocab_requires_null_first():
@@ -105,13 +115,15 @@ def test_span_representation_batch_rejects_bad_span():
 
 def test_span_scores_validation():
     s = SpanScores(3, 4)
-    assert s.values.shape == (4, 4, 4)
-    bad = np.zeros((4, 4, 4))
-    bad[0, 2, 1] = np.inf
+    assert s.values.shape == (6, 4)
+    bad = np.zeros((6, 4))
+    bad[span_row(3, 0, 2), 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         SpanScores(3, 4, bad)
     with pytest.raises(ValueError, match="shape"):
         SpanScores(3, 4, np.zeros((3, 3, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        SpanScores(3, 4, np.zeros((4, 4, 4)))  # no dense layout
     with pytest.raises(ValueError, match="at least 1"):
         SpanScores(0, 4)
 
@@ -122,13 +134,14 @@ def test_span_scores_validation_names_first_span():
     bad[1, 4, 1] = -np.inf
     bad[0, 4, 1] = np.inf
     bad[3, 1, 0] = bad[2, 2, 1] = np.nan  # below the triangle: never read
+    rows = np.triu_indices(5, k=1)
     with pytest.raises(ValueError, match=r"span \(0, 4\)$"):
-        SpanScores(4, 2, bad)
+        SpanScores(4, 2, bad[rows])
     bad[0, 4, 1] = 0.0
     with pytest.raises(ValueError, match=r"span \(1, 4\)$"):
-        SpanScores(4, 2, bad)
+        SpanScores(4, 2, bad[rows])
     bad[1, 4, 1] = bad[2, 3, 0] = 0.0
-    assert SpanScores(4, 2, bad).values is not None
+    assert SpanScores(4, 2, bad[rows]).values is not None
 
 
 def test_score_spans_zero_scorer():
@@ -162,9 +175,9 @@ def test_score_spans_equals_per_span_scores():
             values = score_spans(scorer, chars, vocab).values
             for (i, j), rep in reps.items():
                 one = scorer.score(rep)
-                assert np.array_equal(values[i, j], one), (n, i, j)
-                assert np.array_equal(np.signbit(values[i, j]),
-                                      np.signbit(one)), (n, i, j)
+                row = values[span_row(n, i, j)]
+                assert np.array_equal(row, one), (n, i, j)
+                assert np.array_equal(np.signbit(row), np.signbit(one)), (n, i, j)
 
 
 def test_linear_table_scores_like_the_dense_matrix():
@@ -197,7 +210,7 @@ def test_score_spans_train_mode_draws_dropout_per_span():
     rng = np.random.default_rng(9)
     for i, j in iter_spans(len(chars)):
         row, _ = head.score_train(span_representation(chars, i, j, head.dim), rng)
-        assert np.array_equal(scores.values[i, j], row)
+        assert np.array_equal(scores.values[span_row(len(chars), i, j)], row)
 
 
 def test_score_spans_names_first_nonfinite_span():
@@ -221,9 +234,9 @@ def test_oracle_scores():
     gold = gold_span_labels(ct)
     vocab = build_vocab([ct])
     scores = oracle_scores(gold, vocab)
-    assert scores.values[0, 2, vocab.index["NN"]] == 1.0
-    assert scores.values[0, 1, vocab.index["@1"]] == 1.0
-    assert scores.values[0, 2].sum() == 1.0
+    assert scores.values[span_row(2, 0, 2), vocab.index["NN"]] == 1.0
+    assert scores.values[span_row(2, 0, 1), vocab.index["@1"]] == 1.0
+    assert scores.values[span_row(2, 0, 2)].sum() == 1.0
 
 
 def test_oracle_scores_rejects_unknown_label():
@@ -245,16 +258,18 @@ def test_score_file_round_trip_exact():
     rng = np.random.default_rng(3)
     vocab = LabelVocab([NULL_LABEL, "@1", "NN", "IP"])
     values = rng.normal(0, 10, (4, 4, 4))
-    scores = SpanScores(3, 4, values, validate=False)
+    scores = SpanScores(3, 4, values[np.triu_indices(4, k=1)], validate=False)
     buf = _round_trip(scores, vocab, sentence_id="s7")
     text = buf.getvalue()
     assert text.startswith("#scores s7 3 4\n#labels NULL @1 NN IP\n")
     assert text.endswith("\n\n")
-    loaded, loaded_vocab = read_scores(io.StringIO(text))
+    blocks, loaded_vocab = read_score_file(io.StringIO(text))
     assert loaded_vocab.labels == vocab.labels
+    loaded = blocks[0][1]
     # %.17g is lossless for doubles
     for i, j in iter_spans(3):
-        assert np.array_equal(loaded.values[i, j], scores.values[i, j])
+        k = span_row(3, i, j)
+        assert np.array_equal(loaded.values[k], scores.values[k])
 
 
 def test_score_file_multiple_sentences():
@@ -280,7 +295,7 @@ def test_score_file_errors(mangle, message):
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
     text = _round_trip(SpanScores(2, 3), vocab).getvalue()
     with pytest.raises(ValueError, match=message):
-        read_scores(io.StringIO(mangle(text)))
+        read_score_file(io.StringIO(mangle(text)))
 
 
 def test_score_file_rejects_nonnumeric_value():
@@ -289,7 +304,7 @@ def test_score_file_rejects_nonnumeric_value():
             "#labels NULL @1\n"
             "0 1 0.5 oops\n\n")
     with pytest.raises(ValueError, match="non-numeric"):
-        read_scores(io.StringIO(text))
+        read_score_file(io.StringIO(text))
 
 
 def test_score_file_rejects_nonfinite_value():
@@ -298,7 +313,7 @@ def test_score_file_rejects_nonfinite_value():
             "#labels NULL @1\n"
             "0 1 0.5 inf\n\n")
     with pytest.raises(ValueError, match="non-finite"):
-        read_scores(io.StringIO(text))
+        read_score_file(io.StringIO(text))
 
 
 def test_score_file_rejects_inconsistent_label_sets():
@@ -313,6 +328,6 @@ def test_score_file_rejects_inconsistent_label_sets():
 def test_write_scores_refuses_nonfinite():
     vocab = LabelVocab([NULL_LABEL, "@1"])
     scores = SpanScores(1, 2)
-    scores.values[0, 1, 1] = np.nan
+    scores.values[span_row(1, 0, 1), 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         write_scores(scores, vocab, io.StringIO())
