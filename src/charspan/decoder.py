@@ -3,17 +3,23 @@
 Scores arrive packed, one row per span in ``iter_spans`` order (the line
 order of a score file); the chart and its backtrace are indexed by (i, j).
 
-``cky_decode`` fills a chart bottom-up and backtraces top-down.  Because no
-grammar couples a span's label to its children's labels, the recursion
-splits into an independent per-span best label plus a best split point,
-O(n^3 + n^2 L) total.  Tie rule everywhere: smallest label id, then
-smallest split k (first maximum wins).
+No grammar couples a span's label to its children's labels, so
+``cky_decode`` runs in two steps, O(n^2 L + n^3) in total:
 
-The chart fill takes one label argmax over all spans, then runs the
-split DP vectorized over all spans of a width.  Every combined score
-associates as ``label_score + (left + right)``, which ``tree_score``
-reproduces bitwise.
-``brute_force_decode`` enumerates every bracketing as an oracle.
+1. ``apply_masks``, the masked label argmax: each span's best label among
+   those the ``DecodeConfig`` allows, and that label's score.  It reads
+   the scores in place; only rows whose unmasked winner is masked off are
+   copied, to be scanned again.
+2. ``fill_chart``, the split DP: a CKY over those per-span scores that only
+   chooses split points, vectorized over all spans of a width.
+
+``cky_decode`` then backtraces the chart top-down.
+
+Tie rule everywhere: smallest label id, then smallest split k (first
+maximum wins).  Every combined score associates as
+``label_score + (left + right)``, which ``tree_score`` reproduces bitwise.
+``brute_force_decode`` enumerates every bracketing as an oracle; it masks
+a copy of the scores with code of its own.
 """
 
 from __future__ import annotations
@@ -51,51 +57,71 @@ def available_backends() -> list[str]:
 
 
 def apply_masks(scores: SpanScores, vocab: LabelVocab,
-                config: DecodeConfig) -> SpanScores:
-    """Copy of ``scores`` with configured entries set to -inf.
+                config: DecodeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Masked label argmax: ``(labels, best)``, one entry per packed row.
 
-    "∅" is never masked on non-root spans: it is how the decoder marks
-    spans that are not constituents.  Raises when a span is left with no
-    finite label at all.
+    ``labels[k]`` is the first maximum of row k among the labels
+    ``config`` allows on its span, and ``best[k]`` is its score.  With
+    ``constrain_char_labels`` the "@1"-final labels are allowed on exactly
+    the length-1 spans; with ``require_nonnull_root`` "∅" is not allowed
+    on (0, n).  "∅" is never masked on non-root spans: it is how the
+    decoder marks spans that are not constituents.
+
+    The scores are read in place: one argmax runs over all labels, and
+    only the rows whose winner is masked off are copied and scanned again.
+    Raises when a span is left with no finite usable score.
     """
     if len(vocab) != scores.num_labels:
         raise ValueError("vocabulary size does not match score array")
-    out = scores.copy()
-    v = out.values
+    values = scores.values
     n = scores.n
+    # usable[kind]: the labels allowed on a row of that kind, where the
+    # kind is 1 for a length-1 span plus 2 for the root span
+    usable = np.ones((4, len(vocab)), dtype=bool)
     if config.constrain_char_labels:
-        char_final = np.array([is_char_label(lab) for lab in vocab.labels])
-        width1 = np.zeros(len(v), dtype=bool)
-        width1[span_row(n, np.arange(n), np.arange(1, n + 1))] = True
-        v[np.ix_(width1, ~char_final)] = -np.inf
-        v[np.ix_(~width1, char_final)] = -np.inf
+        usable[[0, 2]] = ~vocab.char_final
+        usable[[1, 3]] = vocab.char_final
     if config.require_nonnull_root:
-        v[span_row(n, 0, n), vocab.null_id] = -np.inf
-    bad = ~np.isfinite(v).any(axis=1)
-    if bad.any():
-        si, sj = span_bounds(n)
-        k = int(np.argmax(bad))
-        raise ValueError(f"masking left span ({si[k]}, {sj[k]}) with no usable label")
-    return out
+        usable[2:, vocab.null_id] = False
+    kind = np.zeros(len(values), dtype=np.intp)
+    starts = np.arange(n)
+    kind[span_row(n, starts, starts + 1)] = 1
+    kind[span_row(n, 0, n)] += 2
+    labels = values.argmax(axis=1)
+    best = values[np.arange(len(values)), labels]
+    # a usable winner is already the first maximum among the usable labels
+    redo = np.flatnonzero(~usable[kind, labels])
+    if len(redo):
+        masked = values.take(redo, axis=0)
+        np.putmask(masked, ~usable[kind[redo]], -np.inf)
+        labels[redo] = masked.argmax(axis=1)
+        best[redo] = masked[np.arange(len(redo)), labels[redo]]
+    odd = np.flatnonzero(~np.isfinite(best))
+    if len(odd):
+        bad = ~(np.isfinite(values[odd]) & usable[kind[odd]]).any(axis=1)
+        if bad.any():
+            si, sj = span_bounds(n)
+            k = odd[np.argmax(bad)]
+            raise ValueError(f"masking left span ({si[k]}, {sj[k]}) with no usable label")
+    return labels, best
 
 
-def fill_chart(values: np.ndarray, n: int):
-    """Chart arrays (best_combined, best_label, best_split) for the packed
-    (n(n+1)/2, L) score rows ``values``, each an (n+1, n+1) array indexed
-    by span (i, j).
+def fill_chart(labels: np.ndarray, best: np.ndarray, n: int):
+    """Split DP over the masked label argmax ``apply_masks`` returns: chart
+    arrays (best_combined, best_label, best_split), each an (n+1, n+1)
+    array indexed by span (i, j).
 
     Entries off the upper triangle, and splits of length-1 spans, are 0.
-    The split DP runs one width at a time over two copies of the chart,
+    The DP runs one width at a time over two copies of the chart,
     ``by_start[i, l] = bc[i, i + l]`` and ``by_end[j, n - l] = bc[j - l, j]``,
     so the left and the right parts of all splits of a width are two
     forward slices that line up split by split.
     """
-    labels = values.argmax(axis=1)
     si, sj = span_bounds(n)
     bestlab = np.zeros((n + 1, n + 1), dtype=labels.dtype)
     bestlab[si, sj] = labels
     by_start = np.zeros((n + 1, n + 1))
-    by_start[si, sj - si] = values[np.arange(len(values)), labels]
+    by_start[si, sj - si] = best
     by_end = np.zeros((n + 1, n + 1))
     by_end[1:, n - 1] = by_start[:n, 1]
     split = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -125,8 +151,7 @@ def cky_decode(scores: SpanScores, vocab: LabelVocab,
     n = scores.n
     if chars is not None and len(chars) != n:
         raise ValueError(f"got {len(chars)} characters for {n} score positions")
-    masked = apply_masks(scores, vocab, config)
-    bc, bestlab, split = fill_chart(masked.values, n)
+    bc, bestlab, split = fill_chart(*apply_masks(scores, vocab, config), n)
 
     def build(i: int, j: int) -> CharTree:
         label = vocab[int(bestlab[i, j])]
@@ -148,6 +173,32 @@ def tree_score(scores: SpanScores, vocab: LabelVocab, tree: CharTree) -> float:
         return v
     return v + (tree_score(scores, vocab, tree.left)
                 + tree_score(scores, vocab, tree.right))
+
+
+def _masked_copy(scores: SpanScores, vocab: LabelVocab,
+                 config: DecodeConfig) -> SpanScores:
+    """Copy of ``scores`` with the entries ``config`` masks set to -inf;
+    the oracle's masking, independent of ``apply_masks``.  Raises when a
+    span is left with no finite label at all."""
+    if len(vocab) != scores.num_labels:
+        raise ValueError("vocabulary size does not match score array")
+    out = scores.copy()
+    v = out.values
+    n = scores.n
+    if config.constrain_char_labels:
+        char_final = np.array([is_char_label(lab) for lab in vocab.labels])
+        width1 = np.zeros(len(v), dtype=bool)
+        width1[span_row(n, np.arange(n), np.arange(1, n + 1))] = True
+        v[np.ix_(width1, ~char_final)] = -np.inf
+        v[np.ix_(~width1, char_final)] = -np.inf
+    if config.require_nonnull_root:
+        v[span_row(n, 0, n), vocab.null_id] = -np.inf
+    bad = ~np.isfinite(v).any(axis=1)
+    if bad.any():
+        si, sj = span_bounds(n)
+        k = int(np.argmax(bad))
+        raise ValueError(f"masking left span ({si[k]}, {sj[k]}) with no usable label")
+    return out
 
 
 def _span_argmax(values: np.ndarray, n: int, num_labels: int):
@@ -197,7 +248,7 @@ def brute_force_decode(scores: SpanScores, vocab: LabelVocab,
         config = DecodeConfig()
     if chars is not None and len(chars) != n:
         raise ValueError(f"got {len(chars)} characters for {n} score positions")
-    masked = apply_masks(scores, vocab, config)
+    masked = _masked_copy(scores, vocab, config)
     bestlab, labscore = _span_argmax(masked.values, n, scores.num_labels)
     best = None
     best_shape = None

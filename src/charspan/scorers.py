@@ -60,6 +60,12 @@ def _apply_sgd(params: dict[str, np.ndarray], grads: list[Gradients], lr: float,
                 params[name] -= scale * val
 
 
+def check_keys(keys: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``keys`` are strictly increasing ids in [0, dim)."""
+    if len(keys) and (keys[0] < 0 or keys[-1] >= dim or (np.diff(keys) <= 0).any()):
+        raise ValueError(f"keys must be strictly increasing ids below {dim}")
+
+
 class LinearScorer:
     """score(rep) = sum of weight rows at the span's feature ids.
 
@@ -77,8 +83,7 @@ class LinearScorer:
         if keys.ndim != 1 or rows.shape != (len(keys), num_labels):
             raise ValueError(f"expected {num_labels}-wide rows for {len(keys)} keys, "
                              f"got shape {rows.shape}")
-        if len(keys) and (keys[0] < 0 or keys[-1] >= dim or (np.diff(keys) <= 0).any()):
-            raise ValueError(f"keys must be strictly increasing ids below {dim}")
+        check_keys(keys, dim)
         self.dim = dim
         self._set(keys, rows)
 

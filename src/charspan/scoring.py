@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .chartree import GoldSpanMap
-from .labels import CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL
+from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
+                     is_char_label)
 
 # Private-use code points so sentinels can never collide with real text.
 LEFT_SENTINEL = ""
@@ -53,6 +55,13 @@ class LabelVocab:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def char_final(self) -> np.ndarray:
+        """Read-only boolean mask of the "@1"-final labels, by id."""
+        mask = np.array([is_char_label(lab) for lab in self.labels], dtype=bool)
+        mask.flags.writeable = False
+        return mask
 
     def __getitem__(self, lid: int) -> str:
         return self.labels[lid]

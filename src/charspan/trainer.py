@@ -27,7 +27,7 @@ from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
 from .decoder import DecodeConfig, cky_decode
 from .losses import label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
-from .scorers import LinearScorer, MLPHead, span_cache
+from .scorers import LinearScorer, MLPHead, check_keys, span_cache
 from .scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
                       span_bounds, span_representation, span_row, score_spans)
 
@@ -170,8 +170,10 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint; a missing array, one of the wrong shape or an
-        unknown scorer kind raises ValueError naming ``path``."""
+        """Read a checkpoint; a missing array, one of the wrong shape, linear
+        ``W_ids`` that are not strictly increasing integer ids below
+        ``feature_dim`` or an unknown scorer kind raises ValueError naming
+        ``path``."""
         with np.load(path, allow_pickle=False) as data:
             def array(name: str, shape: tuple) -> np.ndarray:
                 # None in ``shape`` matches any length
@@ -190,6 +192,14 @@ class Checkpoint:
             hidden = int(array("mlp_hidden", ()))
             if kind == "linear":
                 keys = array("W_ids", (None,))
+                if not np.issubdtype(keys.dtype, np.integer):
+                    raise ValueError(f"{path}: checkpoint array 'W_ids' has dtype "
+                                     f"{keys.dtype}, expected integers")
+                keys = keys.astype(np.int64, copy=False)
+                try:
+                    check_keys(keys, dim)
+                except ValueError as e:
+                    raise ValueError(f"{path}: checkpoint array 'W_ids': {e}") from None
                 params = {"keys": keys,
                           "rows": array("W_rows", (len(keys), len(labels)))}
             elif kind == "mlp":

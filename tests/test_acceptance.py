@@ -15,8 +15,8 @@ import pytest
 from charspan.chartree import (from_char_tree, gold_span_labels,
                                load_char_trees, segmentation_of, to_char_tree)
 from charspan.cli import main as cli_main
-from charspan.decoder import (DecodeConfig, apply_masks, brute_force_decode,
-                              cky_decode, _enumerate_trees, _span_argmax)
+from charspan.decoder import (DecodeConfig, brute_force_decode, cky_decode,
+                              _enumerate_trees, _masked_copy, _span_argmax)
 from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.metrics import joint_report, parse_f1, seg_f1
@@ -213,7 +213,7 @@ def test_criterion_4_gradient_checks():
         for (i, j, l) in gold_pairs:
             k = span_row(scores.n, i, j)
             aug.values[k, l] = scores.values[k, l]
-        masked = apply_masks(aug, vocab, DecodeConfig())
+        masked = _masked_copy(aug, vocab, DecodeConfig())
         for row in masked.values:
             finite = np.sort(row[np.isfinite(row)])[::-1]
             if len(finite) > 1 and finite[0] - finite[1] < gap:

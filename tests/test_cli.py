@@ -246,15 +246,23 @@ def mlp_checkpoint(workdir):
     ("mlp", "p_W2", {}, "no 'p_W2' array"),
     ("mlp", None, {"p_b1": np.zeros(1)}, r"'p_b1' has shape \(1,\), expected \(4,\)"),
     ("linear", "W_ids", {}, "no 'W_ids' array"),
-], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids"])
+    ("linear", None, {"W_ids": lambda ids: ids + 0.5},
+     "'W_ids' has dtype float64, expected integers"),
+    ("linear", None, {"W_ids": lambda ids: ids[::-1]},
+     "'W_ids': keys must be strictly increasing ids below"),
+], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids",
+        "linear-float-W_ids", "linear-reversed-W_ids"])
 def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
                                             tmp_path, kind, drop, replace,
                                             message):
     source = mlp_checkpoint if kind == "mlp" else checkpoint
     with np.load(source) as data:
         arrays = {name: data[name] for name in data.files if name != drop}
+    # a callable replacement derives the bad array from the good one
+    for name, value in replace.items():
+        arrays[name] = value(arrays[name]) if callable(value) else value
     bad = tmp_path / "bad.npz"
-    np.savez(bad, **{**arrays, **replace})
+    np.savez(bad, **arrays)
     args = ("--input", str(workdir / "sents.txt"), "--output", str(tmp_path / "o.txt"))
     r = run_cli("parse", "--checkpoint", str(source), *args)
     assert r.returncode == 0, r.stderr

@@ -2,16 +2,19 @@
 and masks."""
 
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charspan.chartree import (gold_span_labels, serialize_char_tree,
                                to_char_tree)
 from charspan.decoder import (DecodeConfig, PLACEHOLDER_CHAR, apply_masks,
                               available_backends, brute_force_decode,
                               cky_decode, fill_chart, tree_score,
-                              _enumerate_trees)
+                              _enumerate_trees, _masked_copy, _span_argmax)
 from charspan.labels import NULL_LABEL, is_char_label
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
                               iter_spans, oracle_scores, span_row)
@@ -88,8 +91,7 @@ def test_total_equals_tree_score_recomputation():
         n = int(rng.integers(1, 61))
         scores = random_scores(rng, n)
         tree, total = cky_decode(scores, VOCAB)
-        masked = apply_masks(scores, VOCAB, DecodeConfig())
-        assert tree_score(masked, VOCAB, tree) == total
+        assert tree_score(scores, VOCAB, tree) == total
 
 
 def test_label_tie_breaks_to_smallest_id():
@@ -113,28 +115,38 @@ def test_split_tie_breaks_to_smallest_k():
 
 
 def test_mask_constrain_char_labels():
+    # the masked-off labels score highest, so only the masks keep them out
     scores = SpanScores(3, len(VOCAB))
-    masked = apply_masks(scores, VOCAB, DecodeConfig())
     char_ids = [VOCAB.index["@1"], VOCAB.index["NN+@1"]]
     other_ids = [VOCAB.index[NULL_LABEL], VOCAB.index["NN"], VOCAB.index["@2"]]
-    for i in range(3):
-        row = masked.values[span_row(3, i, i + 1)]
-        assert np.isfinite(row[char_ids]).all()
-        assert np.isneginf(row[other_ids]).all()
-    assert np.isneginf(masked.values[span_row(3, 0, 2), char_ids]).all()
-    assert np.isfinite(masked.values[span_row(3, 0, 2), VOCAB.index[NULL_LABEL]])
+    width1 = [span_row(3, i, i + 1) for i in range(3)]
+    wider = [span_row(3, 0, 2), span_row(3, 1, 3)]
+    scores.values[np.ix_(width1, other_ids)] = 5.0
+    scores.values[np.ix_(wider, char_ids)] = 5.0
+    before = scores.values.copy()
+    labels, best = apply_masks(scores, VOCAB, DecodeConfig())
+    assert (labels[width1] == VOCAB.index["@1"]).all()
+    assert (labels[wider] == VOCAB.index[NULL_LABEL]).all()
+    assert (best[width1 + wider] == 0.0).all()
+    relaxed, _ = apply_masks(scores, VOCAB, DecodeConfig(constrain_char_labels=False))
+    assert (relaxed[width1] == VOCAB.index[NULL_LABEL]).all()
+    assert (relaxed[wider] == VOCAB.index["@1"]).all()
     # originals are untouched
-    assert np.isfinite(scores.values).all()
+    assert np.array_equal(scores.values, before)
 
 
 def test_mask_nonnull_root():
     scores = SpanScores(3, len(VOCAB))
-    masked = apply_masks(scores, VOCAB, DecodeConfig())
-    assert np.isneginf(masked.values[span_row(3, 0, 3), VOCAB.index[NULL_LABEL]])
-    assert np.isfinite(masked.values[span_row(3, 1, 3), VOCAB.index[NULL_LABEL]])
-    relaxed = apply_masks(scores, VOCAB,
-                          DecodeConfig(require_nonnull_root=False))
-    assert np.isfinite(relaxed.values[span_row(3, 0, 3), VOCAB.index[NULL_LABEL]])
+    root, inner = span_row(3, 0, 3), span_row(3, 1, 3)
+    scores.values[[root, inner], VOCAB.index[NULL_LABEL]] = 5.0
+    before = scores.values.copy()
+    labels, best = apply_masks(scores, VOCAB, DecodeConfig())
+    assert labels[root] == VOCAB.index["NN"] and best[root] == 0.0
+    assert labels[inner] == VOCAB.index[NULL_LABEL] and best[inner] == 5.0
+    relaxed, relaxed_best = apply_masks(scores, VOCAB,
+                                        DecodeConfig(require_nonnull_root=False))
+    assert relaxed[root] == VOCAB.index[NULL_LABEL] and relaxed_best[root] == 5.0
+    assert np.array_equal(scores.values, before)
 
 
 def test_masks_can_be_disabled():
@@ -196,12 +208,72 @@ def test_fill_chart_shapes():
     rng = np.random.default_rng(2)
     n = 5
     values = rng.normal(size=(n + 1, n + 1, 3))
-    bc, bestlab, split = fill_chart(values[np.triu_indices(n + 1, k=1)], n)
+    vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
+    scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)])
+    bc, bestlab, split = fill_chart(*apply_masks(scores, vocab, DecodeConfig()), n)
     assert bc.shape == (n + 1, n + 1)
     assert bestlab.shape == (n + 1, n + 1)
     assert split.shape == (n + 1, n + 1)
     ints = list(range(1, n))
     assert split[0, n] in ints
+
+
+MASK_VOCABS = [VOCAB, LabelVocab([NULL_LABEL, "NN", "@2"]),
+               LabelVocab([NULL_LABEL, "@1"])]
+MASK_CONFIGS = [DecodeConfig(c, r) for c in (True, False) for r in (True, False)]
+ROW_ELEMENTS = [
+    st.floats(-1.0, 1.0),                              # random
+    st.sampled_from([-1.0, 0.0, 1.0]),                 # forced ties
+    st.sampled_from([-1.0, 0.0, 1.0, -np.inf, -np.inf]),  # -inf entries
+]
+
+
+@st.composite
+def masked_argmax_cases(draw):
+    vocab = draw(st.sampled_from(MASK_VOCABS))
+    n = draw(st.integers(1, 7))
+    rows = [draw(st.lists(draw(st.sampled_from(ROW_ELEMENTS)),
+                          min_size=len(vocab), max_size=len(vocab)))
+            for _ in range(n * (n + 1) // 2)]
+    scores = SpanScores(n, len(vocab), np.array(rows), validate=False)
+    return scores, vocab, draw(st.sampled_from(MASK_CONFIGS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masked_argmax_cases())
+def test_apply_masks_is_a_first_maximum_scan_of_the_masked_copy(case):
+    scores, vocab, config = case
+    before = scores.values.copy()
+    try:
+        masked = _masked_copy(scores, vocab, config)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            apply_masks(scores, vocab, config)
+        return
+    labels, best = apply_masks(scores, vocab, config)
+    want_label, want_best = _span_argmax(masked.values, scores.n, scores.num_labels)
+    spans = list(iter_spans(scores.n))
+    assert labels.tolist() == [want_label[s] for s in spans]
+    assert best.tobytes() == np.array([want_best[s] for s in spans]).tobytes()
+    assert scores.values.tobytes() == before.tobytes()
+
+
+def test_masked_argmax_and_split_dp_do_not_copy_the_scores(synthetic_corpus):
+    cts = [to_char_tree(t) for t in list(synthetic_corpus)[:40]]
+    vocab = build_vocab(cts)
+    ct = max(cts, key=lambda c: c.span[1])
+    scores = oracle_scores(gold_span_labels(ct), vocab)
+    config = DecodeConfig()
+    fill_chart(*apply_masks(scores, vocab, config), scores.n)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fill_chart(*apply_masks(scores, vocab, config), scores.n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < scores.values.nbytes, (peak, scores.values.shape)
 
 
 def test_gold_tree_is_argmax_of_its_own_oracle(synthetic_corpus):
