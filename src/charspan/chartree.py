@@ -1,17 +1,17 @@
 """Word-level trees to binarized character-level trees and back.
 
-Forward direction (``to_char_tree``), in order: every word leaf is expanded
-into its characters, each wrapped in a node labeled "@1" under the word's
-POS node; unary chains are merged into single '+'-joined labels; and the
-tree is left-binarized, labeling intermediate nodes "@2" inside word
-subtrees and "∅" at phrase level.
+The encoding gives each character of a word a node labeled "@1", merges
+unary chains into single '+'-joined labels and left-binarizes, labeling the
+new intermediate nodes "@2" inside a word and "∅" at phrase level.
+``to_char_tree`` does all three in one post-order walk of the word tree.
 
-The reverse direction (``from_char_tree``) must stay total on arbitrary
-binary trees, because decoder output can place "@1"/"@2"/"∅" anywhere.  It
-splits merged labels, splices out "∅" and "@2" nodes, rebuilds words from
-maximal runs of "@1" siblings (stray characters become singleton words),
-and inserts an "X" pre-terminal over any word whose parent is not already
-a pre-terminal covering exactly that word.
+``from_char_tree`` must stay total on arbitrary binary trees, because
+decoder output can place "@1"/"@2"/"∅" anywhere.  It is one post-order walk
+of the char tree: each node splits its merged label and leaves pieces in its
+parent's child list (bare characters, "@1" runs and recovered subtrees),
+with "∅" and "@2" spliced out.  Adjacent "@1" runs make one word and each
+bare character a word of its own; a constituent covering exactly one word is
+that word's pre-terminal, and every other word gets an "X" pre-terminal.
 """
 
 from __future__ import annotations
@@ -125,52 +125,39 @@ def segmentation_of(word_tree: SyntaxTree) -> WordSegmentation:
 # word-level -> character-level
 
 
-def _expand_words(tree: SyntaxTree) -> SyntaxTree:
+def _encode(tree: SyntaxTree, start: int) -> tuple[CharTree, int, bool]:
+    """The char tree of ``tree`` from character ``start`` on, the offset where
+    it ends, and whether all its labels are word-internal ("@1"/"@2" only)."""
     if tree.token is not None:
         raise ValueError(f"word leaf {tree.token!r} has no pre-terminal parent")
-    if tree.is_preterminal:
-        token = tree.children[0].token
-        chars = [SyntaxTree(CHAR_LABEL, [SyntaxTree(token=c)]) for c in token]
-        return SyntaxTree(tree.label, chars)
-    return SyntaxTree(tree.label, [_expand_words(c) for c in tree.children])
-
-
-def _merge_unary(tree: SyntaxTree) -> SyntaxTree:
-    if tree.token is not None:
-        return tree
     labels = [tree.label]
-    node = tree
-    while len(node.children) == 1 and node.children[0].token is None:
-        node = node.children[0]
-        labels.append(node.label)
-    return SyntaxTree(UNARY_JOIN.join(labels),
-                      [_merge_unary(c) for c in node.children])
-
-
-def _tree_word_internal(ct: CharTree) -> bool:
-    if not is_word_internal(ct.label):
-        return False
-    if ct.char is not None:
-        return True
-    return _tree_word_internal(ct.left) and _tree_word_internal(ct.right)
-
-
-def _binarize(tree: SyntaxTree, start: int) -> tuple[CharTree, int]:
-    if len(tree.children) == 1:
-        # merged chain over a single character
-        return CharTree(tree.label, char=tree.children[0].token, start=start), start + 1
-    kids = []
-    pos = start
-    for c in tree.children:
-        ct, pos = _binarize(c, pos)
-        kids.append(ct)
-    node = kids[0]
-    internal = _tree_word_internal(node)
-    for k in kids[1:-1]:
-        internal = internal and _tree_word_internal(k)
-        lab = SUBWORD_LABEL if internal else NULL_LABEL
-        node = CharTree(lab, left=node, right=k)
-    return CharTree(tree.label, left=node, right=kids[-1]), pos
+    while len(tree.children) == 1 and tree.children[0].token is None:
+        tree = tree.children[0]
+        labels.append(tree.label)
+    if tree.is_preterminal:
+        word = tree.children[0].token
+        if len(word) == 1:
+            label = UNARY_JOIN.join([*labels, CHAR_LABEL])
+            return CharTree(label, char=word, start=start), start + 1, is_word_internal(label)
+        kids = [(CharTree(CHAR_LABEL, char=c, start=start + k), True)
+                for k, c in enumerate(word)]
+        end = start + len(word)
+    else:
+        kids = []
+        end = start
+        for child in tree.children:
+            ct, end, internal = _encode(child, end)
+            kids.append((ct, internal))
+    # left-binarize: an intermediate node is "@2" while all it covers is
+    # word-internal, "∅" once it covers a finished word
+    node, internal = kids[0]
+    for kid, kid_internal in kids[1:-1]:
+        internal = internal and kid_internal
+        node = CharTree(SUBWORD_LABEL if internal else NULL_LABEL, left=node, right=kid)
+    label = UNARY_JOIN.join(labels)
+    last, last_internal = kids[-1]
+    return (CharTree(label, left=node, right=last), end,
+            internal and last_internal and is_word_internal(label))
 
 
 def to_char_tree(word_tree: SyntaxTree) -> CharTree:
@@ -179,7 +166,7 @@ def to_char_tree(word_tree: SyntaxTree) -> CharTree:
     The fringe of the result is the character sequence of the sentence.
     Raises ValueError when a word leaf is not under a pre-terminal.
     """
-    return _binarize(_merge_unary(_expand_words(word_tree)), 0)[0]
+    return _encode(word_tree, 0)[0]
 
 
 def gold_span_labels(char_tree: CharTree) -> GoldSpanMap:
@@ -199,92 +186,49 @@ def gold_span_labels(char_tree: CharTree) -> GoldSpanMap:
 
 
 # ---------------------------------------------------------------------------
-# character-level -> word-level
+# character-level -> word-level; a piece is a bare character (str), an "@1"
+# run (a list of its texts, one word) or a recovered SyntaxTree
+
+_SPLICED = ("", NULL_LABEL, SUBWORD_LABEL)
 
 
-class _Node:
-    __slots__ = ("label", "kids")
-
-    def __init__(self, label: str, kids: list):
-        self.label = label
-        self.kids = kids
-
-
-def _split_chains(ct: CharTree):
+def _pieces(ct: CharTree, out: list) -> None:
+    """Append to ``out`` the pieces ``ct`` leaves in its parent's child list."""
     # Empty segments can only come from labels outside our own encoding;
-    # drop them so recovery stays total.
-    segs = [s for s in ct.label.split(UNARY_JOIN) if s] or [NULL_LABEL]
+    # they splice out like "∅" and "@2", so recovery stays total.
+    segs = [s for s in ct.label.split(UNARY_JOIN) if s not in _SPLICED]
+    kids = [] if segs else out
     if ct.char is not None:
-        node = ct.char
+        kids.append(ct.char)
     else:
-        node = _Node(segs.pop(), [_split_chains(ct.left), _split_chains(ct.right)])
-    while segs:
-        node = _Node(segs.pop(), [node])
-    return node
-
-
-def _splice(node, label: str) -> list:
-    if isinstance(node, str):
-        return [node]
-    kids: list = []
-    for k in node.kids:
-        kids.extend(_splice(k, label))
-    if node.label == label:
-        return kids
-    node.kids = kids
-    return [node]
-
-
-def _chars_of(node, out: list[str]) -> None:
-    if isinstance(node, str):
-        out.append(node)
+        _pieces(ct.left, kids)
+        _pieces(ct.right, kids)
+    if not segs:
         return
-    for k in node.kids:
-        _chars_of(k, out)
+    for seg in reversed(segs):
+        piece = [ct.sentence()] if seg == CHAR_LABEL else _recover(seg, kids)
+        kids = [piece]
+    if type(piece) is list and out and type(out[-1]) is list:
+        out[-1].extend(piece)  # adjacent "@1" runs make one word
+    else:
+        out.append(piece)
 
 
-_WORD = object()  # tag for (word, text) items below
+def _word(piece) -> SyntaxTree:
+    return SyntaxTree(token=piece if isinstance(piece, str) else "".join(piece))
 
 
-def _group_words(kids: list) -> list:
-    """Turn a sibling list into a list of (_WORD, text) items and recovered
-    subtrees, merging maximal runs of "@1" siblings into single words."""
-    items: list = []
-    run: list = []
-
-    def flush() -> None:
-        if run:
-            chars: list[str] = []
-            for r in run:
-                _chars_of(r, chars)
-            items.append((_WORD, "".join(chars)))
-            run.clear()
-
-    for k in kids:
-        if isinstance(k, str):
-            flush()
-            items.append((_WORD, k))
-        elif k.label == CHAR_LABEL:
-            run.append(k)
-        else:
-            flush()
-            items.append(_recover_node(k))
-    flush()
-    return items
+def _as_child(piece) -> SyntaxTree:
+    if isinstance(piece, SyntaxTree):
+        return piece
+    return SyntaxTree("X", [_word(piece)])
 
 
-def _as_child(item) -> SyntaxTree:
-    if isinstance(item, SyntaxTree):
-        return item
-    return SyntaxTree("X", [SyntaxTree(token=item[1])])
-
-
-def _recover_node(node: _Node) -> SyntaxTree:
-    items = _group_words(node.kids)
-    if len(items) == 1 and not isinstance(items[0], SyntaxTree):
+def _recover(label: str, pieces: list) -> SyntaxTree:
+    if len(pieces) == 1 and not isinstance(pieces[0], SyntaxTree):
         # the node covers exactly one word: it is that word's pre-terminal
-        return SyntaxTree(node.label, [SyntaxTree(token=items[0][1])])
-    return SyntaxTree(node.label, [_as_child(it) for it in items])
+        return SyntaxTree(label, [_word(pieces[0])])
+    return SyntaxTree(label, [_as_child(p) for p in pieces])
 
 
 def from_char_tree(char_tree: CharTree) -> tuple[SyntaxTree, WordSegmentation]:
@@ -293,13 +237,9 @@ def from_char_tree(char_tree: CharTree) -> tuple[SyntaxTree, WordSegmentation]:
     Total on arbitrary input: every character lands in exactly one word and
     the returned segmentation covers [0, n) without gaps or overlaps.
     """
-    root = _split_chains(char_tree)
-    forest = _splice(root, NULL_LABEL)
-    spliced: list = []
-    for x in forest:
-        spliced.extend(_splice(x, SUBWORD_LABEL))
-    items = _group_words(spliced)
-    tops = [_as_child(it) for it in items]
+    pieces: list = []
+    _pieces(char_tree, pieces)
+    tops = [_as_child(p) for p in pieces]
     tree = tops[0] if len(tops) == 1 else SyntaxTree("TOP", tops)
     return tree, WordSegmentation.from_words(tree.leaves())
 

@@ -21,6 +21,7 @@ import numpy as np
 from .chartree import (from_char_tree, load_char_trees, save_char_trees,
                        to_char_tree)
 from .decoder import DecodeConfig, cky_decode
+from .losses import MARGIN_MODES, SPAN_SETS
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
 from .trainer import Checkpoint, TrainConfig, load_train_config, train
@@ -311,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp-hidden", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--margin-mode", choices=["flat", "hamming"])
-    p.add_argument("--loss-spans", choices=["all", "gold"])
+    p.add_argument("--margin-mode", choices=MARGIN_MODES)
+    p.add_argument("--loss-spans", choices=SPAN_SETS)
     p.add_argument("--feature-dim", type=int)
     p.set_defaults(func=cmd_train)
 

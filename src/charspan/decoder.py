@@ -152,16 +152,21 @@ def cky_decode(scores: SpanScores, vocab: LabelVocab,
     if chars is not None and len(chars) != n:
         raise ValueError(f"got {len(chars)} characters for {n} score positions")
     bc, bestlab, split = fill_chart(*apply_masks(scores, vocab, config), n)
+    if chars is None:
+        chars = PLACEHOLDER_CHAR * n
+    return _backtrace(vocab, bestlab, split, chars, 0, n), float(bc[0, n])
 
-    def build(i: int, j: int) -> CharTree:
-        label = vocab[int(bestlab[i, j])]
-        if j - i == 1:
-            ch = chars[i] if chars is not None else PLACEHOLDER_CHAR
-            return CharTree(label, char=ch, start=i)
-        k = int(split[i, j])
-        return CharTree(label, left=build(i, k), right=build(k, j))
 
-    return build(0, n), float(bc[0, n])
+def _backtrace(vocab: LabelVocab, bestlab: np.ndarray, split: np.ndarray,
+               chars: Sequence[str], i: int, j: int) -> CharTree:
+    # Not a closure in cky_decode: a recursive closure is a reference cycle,
+    # which keeps the chart arrays alive until the cyclic collector runs.
+    label = vocab[int(bestlab[i, j])]
+    if j - i == 1:
+        return CharTree(label, char=chars[i], start=i)
+    k = int(split[i, j])
+    return CharTree(label, left=_backtrace(vocab, bestlab, split, chars, i, k),
+                    right=_backtrace(vocab, bestlab, split, chars, k, j))
 
 
 def tree_score(scores: SpanScores, vocab: LabelVocab, tree: CharTree) -> float:

@@ -24,6 +24,7 @@ from .decoder import DecodeConfig, cky_decode, tree_score
 from .scoring import GoldSpanMap, LabelVocab, SpanScores, iter_spans, span_row
 
 MARGIN_MODES = ("flat", "hamming")
+SPAN_SETS = ("all", "gold")  # the span sets label_loss sums over
 
 
 @dataclass
@@ -43,7 +44,7 @@ def label_loss(scores: SpanScores, gold: GoldSpanMap, vocab: LabelVocab,
     label of non-constituents; ``spans="gold"`` restricts the sum to the
     gold tree's own spans.
     """
-    if spans not in ("all", "gold"):
+    if spans not in SPAN_SETS:
         raise ValueError(f"unknown span set {spans!r}")
     if gold.n != scores.n:
         raise ValueError(f"gold map covers {gold.n} characters, scores cover {scores.n}")

@@ -308,21 +308,21 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
             break
     if header is None:
         return None
-    lineno, text = header
+    header_line, text = header
     parts = text.split()
     if parts[0] != "#scores" or len(parts) != 4:
-        raise ValueError(f"line {lineno}: missing or malformed '#scores' header")
+        raise ValueError(f"line {header_line}: missing or malformed '#scores' header")
     sentence_id = parts[1]
     try:
         n, num_labels = int(parts[2]), int(parts[3])
     except ValueError:
-        raise ValueError(f"line {lineno}: non-integer n or L in header") from None
+        raise ValueError(f"line {header_line}: non-integer n or L in header") from None
     if n < 1 or num_labels < 1:
-        raise ValueError(f"line {lineno}: n and L must be positive")
+        raise ValueError(f"line {header_line}: n and L must be positive")
     try:
         lineno, text = next(lines)
     except StopIteration:
-        raise ValueError("missing '#labels' line") from None
+        raise ValueError(f"line {header_line}: missing '#labels' line") from None
     parts = text.split()
     if not parts or parts[0] != "#labels":
         raise ValueError(f"line {lineno}: expected '#labels' line")
@@ -331,12 +331,19 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
         raise ValueError(f"line {lineno}: header declares {num_labels} labels, "
                          f"found {len(labels)}")
     vocab = LabelVocab(labels)
-    scores = SpanScores(n, num_labels)
+    num_spans = n * (n + 1) // 2
+    try:
+        # one allocation before the rows: a list of rows first would hold
+        # the block twice
+        scores = SpanScores(n, num_labels)
+    except (MemoryError, ValueError):  # numpy: "array is too big" past the address space
+        raise ValueError(f"line {header_line}: header claims {num_spans} spans of "
+                         f"{num_labels} scores, too many to allocate") from None
     for k, (i, j) in enumerate(iter_spans(n)):
         try:
             lineno, text = next(lines)
         except StopIteration:
-            raise ValueError(f"expected {len(scores.values)} span lines, "
+            raise ValueError(f"line {header_line}: expected {num_spans} span lines, "
                              f"found {k}") from None
         parts = text.split()
         if len(parts) != 2 + num_labels:
@@ -355,14 +362,9 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
     return sentence_id, scores, vocab
 
 
-def _numbered(source: TextIO) -> Iterator[tuple[int, str]]:
-    for k, line in enumerate(source, start=1):
-        yield k, line
-
-
 def read_score_file(source: TextIO) -> tuple[list[tuple[str, SpanScores]], LabelVocab]:
     """Read every sentence block; all blocks must share one label set."""
-    lines = _numbered(source)
+    lines = enumerate(source, start=1)
     out: list[tuple[str, SpanScores]] = []
     vocab: LabelVocab | None = None
     while True:

@@ -8,10 +8,7 @@ stops after ``max_decay`` decays, at the epoch cap, or when an epoch's
 loss hits exactly zero (no gradient can flow anymore).  The best-dev
 parameters are returned.
 
-The optimizer is plain mini-batch SGD on the batch mean.  The 1e-5
-learning rate documented for encoder-backed models is kept as a named
-constant; the in-repo feature scorers use their own 0.1 preset because
-nothing about an encoder's tuning transfers to hashed features.
+The optimizer is plain mini-batch SGD on the batch mean.
 """
 
 from __future__ import annotations
@@ -25,15 +22,12 @@ import numpy as np
 from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
                        to_char_tree)
 from .decoder import DecodeConfig, cky_decode
-from .losses import label_loss, tree_loss
+from .losses import MARGIN_MODES, SPAN_SETS, label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
 from .scorers import LinearScorer, MLPHead, check_keys, span_cache
 from .scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
                       span_bounds, span_representation, span_row, score_spans)
 
-# Rate for finetuning a pretrained encoder; documented for users plugging
-# in external scores, not used by the feature scorers below.
-ENCODER_LEARNING_RATE = 1e-5
 FEATURE_SCORER_LEARNING_RATE = 0.1
 
 LINEAR_FEATURE_DIM = 1 << 20
@@ -68,6 +62,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.margin_mode not in MARGIN_MODES:
+            raise ValueError(f"unknown margin mode {self.margin_mode!r}")
+        if self.loss_spans not in SPAN_SETS:
+            raise ValueError(f"unknown span set {self.loss_spans!r}")
 
     @property
     def effective_learning_rate(self) -> float:

@@ -1,5 +1,6 @@
 """Word-level <-> character-level tree transformation."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from charspan.chartree import (CharTree, from_char_tree, gold_span_labels,
                                save_char_trees, segmentation_of,
                                serialize_char_tree, to_char_tree)
 from charspan.labels import CHAR_LABEL, NULL_LABEL, is_char_label
+from charspan.synthesis import synthesize_bench_corpus, synthesize_corpus
 from charspan.treebank import (SyntaxTree, TreeFormatError, parse_bracketed,
                                serialize_bracketed)
 
@@ -202,6 +204,43 @@ def test_recovery_total_on_random_trees():
         back, seg = from_char_tree(ct)
         assert "".join(back.leaves()) == ct.sentence()
         assert "".join(seg.words) == ct.sentence()
+
+
+# sha256 digests of the encoding's outputs; any change to either direction
+# of the encoding, edge cases included, changes one of them
+PINNED_RECOVERY = "20894d24c61a43f5dd57b628f5087ac93c5931586a83953dae86d9bb63f13d75"
+PINNED_ENCODING = "12f26b72a977e8c3986c04ffbe38e685c66f8ff15a5f8a32a626866c26d51417"
+
+
+def test_encoding_outputs_are_pinned():
+    rng = np.random.default_rng(2022)
+    alphabet = [NULL_LABEL, CHAR_LABEL, "@2", "NN", "NN+@1", "A+B+C", "+",
+                "VP+", "++@1", "@1+NN", NULL_LABEL + "+@1", "@1+@1",
+                "NP+" + NULL_LABEL, "@2+@2"]
+
+    def random_tree(i, j):
+        label = alphabet[rng.integers(len(alphabet))]
+        if j - i == 1:
+            return CharTree(label, char=chr(ord("一") + i), start=i)
+        k = int(rng.integers(i + 1, j))
+        return CharTree(label, left=random_tree(i, k), right=random_tree(k, j))
+
+    recovered = []
+    recovery = hashlib.sha256()
+    for n in range(1, 14):
+        for _ in range(150):
+            back, seg = from_char_tree(random_tree(0, n))
+            recovered.append(back)
+            recovery.update(f"{serialize_bracketed(back)}\t{' '.join(seg.words)}\n"
+                            .encode())
+    # recovered trees are word trees of shapes the synthetic corpora never
+    # make, such as "X" pre-terminals and words beside phrases
+    encoding = hashlib.sha256()
+    for t in [*synthesize_corpus(500, seed=42), *synthesize_bench_corpus(),
+              *recovered]:
+        encoding.update(f"{serialize_char_tree(to_char_tree(t))}\n".encode())
+    assert (recovery.hexdigest(), encoding.hexdigest()) == \
+        (PINNED_RECOVERY, PINNED_ENCODING)
 
 
 def test_serialization_maps_null_label_to_null_token():

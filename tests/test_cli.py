@@ -135,6 +135,18 @@ def test_parse_rejects_wrong_sentence_length(workdir, tmp_path):
     assert "characters" in r.stderr
 
 
+def test_parse_score_file_header_claiming_too_many_spans(tmp_path):
+    # 112 GiB of scores for one span line: either the allocation fails or the
+    # block is truncated, and both are data errors naming the header line
+    path = tmp_path / "huge.txt"
+    path.write_text("#scores s 100000 3\n#labels NULL @1 NN\n0 1 0 0 0\n\n",
+                    encoding="utf-8")
+    r = run_cli("parse", "--score-file", str(path))
+    assert r.returncode == 2
+    assert "charspan: error: line 1: " in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_parse_requires_input_with_checkpoint(workdir):
     r = run_cli("parse", "--checkpoint", "whatever.npz")
     assert r.returncode == 1
@@ -196,12 +208,18 @@ def test_train_config_file_with_flag_override(workdir, tmp_path):
 
 
 def test_train_rejects_bad_config(workdir, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("optimizer = adam\n", encoding="utf-8")
-    r = run_cli("train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
-                str(tmp_path / "m.npz"), "--config", str(cfg))
-    assert r.returncode == 2
-    assert "unknown key" in r.stderr
+    # a bad value must stop the run before the first epoch, not when the
+    # loss that reads it first runs
+    for text, message in [("optimizer = adam\n", "unknown key"),
+                          ("margin_mode = bogus\n", "unknown margin mode 'bogus'"),
+                          ("loss_spans = some\n", "unknown span set 'some'")]:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        r = run_cli("train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
+                    str(tmp_path / "m.npz"), "--config", str(cfg))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "epoch=" not in r.stderr
 
 
 def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):

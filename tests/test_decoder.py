@@ -1,6 +1,7 @@
 """CKY decoding: correctness against a brute-force oracle, tie rules,
 and masks."""
 
+import gc
 import hashlib
 import re
 import tracemalloc
@@ -181,6 +182,21 @@ def test_single_character_sentence():
 def test_placeholder_char_without_sentence():
     tree, _ = cky_decode(SpanScores(2, len(VOCAB)), VOCAB)
     assert tree.left.char == PLACEHOLDER_CHAR
+
+
+def test_cky_decode_leaves_no_reference_cycles():
+    # a cycle would hold the chart arrays until the cyclic collector runs,
+    # so peak memory would depend on when it happens to run
+    rng = np.random.default_rng(3)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (1, 2, 9):
+            cky_decode(random_scores(rng, n), VOCAB)
+            cky_decode(random_scores(rng, n), VOCAB, chars="abcdefghi"[:n])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chars_length_mismatch_rejected():

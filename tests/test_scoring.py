@@ -284,12 +284,23 @@ def test_score_file_multiple_sentences():
     assert v.labels == vocab.labels
 
 
+def _one_span_line(header):
+    """Keep the first span line of the n = 2 block below, under ``header``."""
+    return lambda t: t[:t.index("\n0 2 ") + 1].replace("#scores 0 2 3", header)
+
+
 @pytest.mark.parametrize("mangle, message", [
     (lambda t: t.replace("#scores", "#score"), "missing or malformed"),
     (lambda t: t.replace("0 1 ", "1 0 ", 1), "expected span"),
     (lambda t: t.replace("#scores 0 2 3", "#scores 0 x 3"), "non-integer"),
     (lambda t: "", "empty score file"),
     (lambda t: t.replace("#labels NULL @1 NN", "#labels NULL @1"), "labels"),
+    (lambda t: t[:t.index("#labels")], "line 1: missing '#labels' line"),
+    (_one_span_line("#scores 0 2 3"), "line 1: expected 3 span lines, found 1"),
+    # too large to allocate here, or, where memory overcommits, truncated
+    (_one_span_line("#scores 0 100000 3"), "line 1: .*5000050000 span"),
+    (_one_span_line("#scores 0 3000000000 3"),
+     "line 1: header claims 4500000001500000000 spans of 3 scores, too many"),
 ])
 def test_score_file_errors(mangle, message):
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])

@@ -8,8 +8,7 @@ import pytest
 
 from charspan.scoring import score_spans
 from charspan.synthesis import synthesize_corpus
-from charspan.trainer import (Checkpoint, ENCODER_LEARNING_RATE,
-                              FEATURE_SCORER_LEARNING_RATE,
+from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
                               LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
                               TrainConfig, evaluate_dev, load_train_config,
                               parse_train_config, train)
@@ -31,7 +30,6 @@ def trained(tiny_corpus):
 
 def test_presets():
     assert FEATURE_SCORER_LEARNING_RATE == 0.1
-    assert ENCODER_LEARNING_RATE == 1e-5
     assert LINEAR_FEATURE_DIM == 2 ** 20
     assert MLP_FEATURE_DIM == 2 ** 14
     assert TrainConfig().effective_learning_rate == 0.1
@@ -50,6 +48,10 @@ def test_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(dropout=1.0)
+    with pytest.raises(ValueError, match="unknown margin mode 'bogus'"):
+        TrainConfig(margin_mode="bogus")
+    with pytest.raises(ValueError, match="unknown span set 'some'"):
+        TrainConfig(loss_spans="some")
 
 
 def test_parse_train_config():
