@@ -172,16 +172,14 @@ def to_char_tree(word_tree: SyntaxTree) -> CharTree:
 def gold_span_labels(char_tree: CharTree) -> GoldSpanMap:
     """One entry per tree node, keyed by its character span."""
     entries: dict[tuple[int, int], str] = {}
-
-    def walk(ct: CharTree) -> None:
+    stack = [char_tree]  # pre-order, left subtree first
+    while stack:
+        ct = stack.pop()
         if ct.span in entries:
             raise RuntimeError(f"duplicate span {ct.span} in char tree")
         entries[ct.span] = ct.label
         if ct.char is None:
-            walk(ct.left)
-            walk(ct.right)
-
-    walk(char_tree)
+            stack += (ct.right, ct.left)
     return GoldSpanMap(char_tree.span[1], entries)
 
 

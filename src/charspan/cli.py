@@ -14,6 +14,7 @@ import argparse
 import io
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -52,11 +53,34 @@ def _read_sentences(path: str) -> list[str]:
         return [line.strip() for line in f if line.strip()]
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _map_maybe_parallel(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` in order; with threads, at most ``threads + 1``
+    items are in flight, so an iterator is read only as fast as it is used."""
+    if threads <= 1:
+        return list(map(fn, items))
+    out = []
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            del item  # not held while the next item is read
+            while len(pending) > threads:
+                out.append(pending.popleft().result())
+        out.extend(f.result() for f in pending)
+    return out
+
+
+def _named_errors(path: str, blocks):
+    """The blocks of ``read_score_file``, its errors prefixed with ``path``."""
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration:
+            return
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        yield block
+        del block  # not held while the next block is read
 
 
 def cmd_transform(args) -> int:
@@ -154,17 +178,14 @@ def cmd_parse(args) -> int:
 
         char_trees = _map_maybe_parallel(run, sentences, args.threads)
     else:
-        with io.open(args.score_file, "r", encoding="utf-8") as f:
-            blocks, vocab = read_score_file(f)
         sentences = _read_sentences(args.input) if args.input else None
-        if sentences is not None and len(sentences) != len(blocks):
-            raise ValueError(f"score file has {len(blocks)} sentences, "
-                             f"input has {len(sentences)}")
 
         def run_block(item):
-            k, (sid, scores) = item
+            k, (sid, scores, vocab) = item
             chars = None
             if sentences is not None:
+                if k >= len(sentences):
+                    return None  # counted for the error below, not decoded
                 chars = sentences[k]
                 if len(chars) != scores.n:
                     raise ValueError(
@@ -173,8 +194,14 @@ def cmd_parse(args) -> int:
             ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
             return ct
 
-        char_trees = _map_maybe_parallel(run_block, list(enumerate(blocks)),
-                                         args.threads)
+        # each block is decoded and dropped before the next one is read
+        with io.open(args.score_file, "r", encoding="utf-8") as f:
+            blocks = _named_errors(args.score_file, read_score_file(f))
+            char_trees = _map_maybe_parallel(run_block, enumerate(blocks),
+                                             args.threads)
+        if sentences is not None and len(sentences) != len(char_trees):
+            raise ValueError(f"score file has {len(char_trees)} sentences, "
+                             f"input has {len(sentences)}")
 
     trees = []
     segs = []

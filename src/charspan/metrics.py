@@ -56,19 +56,22 @@ def constituents(tree: SyntaxTree) -> Counter:
     """Multiset of (label, char_start, char_end) for scoring: internal
     nodes except the root and except pre-terminals."""
     out: Counter = Counter()
-
-    def walk(node: SyntaxTree, start: int, is_root: bool) -> int:
-        if node.token is not None:
-            return start + len(node.token)
-        pos = start
-        for child in node.children:
-            pos = walk(child, pos, False)
-        if not is_root and not node.is_preterminal:
-            out[(node.label, start, pos)] += 1
-        return pos
-
-    walk(tree, 0, True)
+    _count_constituents(tree, 0, True, out)
     return out
+
+
+def _count_constituents(node: SyntaxTree, start: int, is_root: bool,
+                        out: Counter) -> int:
+    # Not a closure in constituents: a recursive closure is a reference
+    # cycle, which keeps ``out`` alive until the cyclic collector runs.
+    if node.token is not None:
+        return start + len(node.token)
+    pos = start
+    for child in node.children:
+        pos = _count_constituents(child, pos, False, out)
+    if not is_root and not node.is_preterminal:
+        out[(node.label, start, pos)] += 1
+    return pos
 
 
 def parse_f1(gold_trees: Sequence[SyntaxTree],

@@ -81,19 +81,17 @@ def build_vocab(char_trees: Iterable) -> LabelVocab:
     """
     labels = [NULL_LABEL]
     seen = {NULL_LABEL}
-
-    def walk(ct) -> None:
-        if ct.label not in seen:
-            seen.add(ct.label)
-            labels.append(ct.label)
-        if ct.char is None:
-            walk(ct.left)
-            walk(ct.right)
-
     empty = True
     for tree in char_trees:
         empty = False
-        walk(tree)
+        stack = [tree]  # pre-order, left subtree first
+        while stack:
+            ct = stack.pop()
+            if ct.label not in seen:
+                seen.add(ct.label)
+                labels.append(ct.label)
+            if ct.char is None:
+                stack += (ct.right, ct.left)
     if empty:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     for required in (CHAR_LABEL, SUBWORD_LABEL):
@@ -283,7 +281,8 @@ def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:
 #   <i> <j> <v_0> ... <v_{L-1}>     one line per span, lexicographic order
 #
 # with a blank line after each sentence block.  The span lines are the rows
-# of the packed score array, in order.
+# of the packed score array, in order.  Blocks are read one at a time, so a
+# reader holds one block's array, not the file's.
 
 
 def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
@@ -293,10 +292,13 @@ def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
     header_labels = [NULL_TOKEN if lab == NULL_LABEL else lab for lab in vocab.labels]
     sink.write(f"#scores {sentence_id} {scores.n} {scores.num_labels}\n")
     sink.write("#labels " + " ".join(header_labels) + "\n")
+    # "%.17g" on a float gives the bytes of format(v, ".17g"), in one operation
+    # per row; rows are written one by one, never as a block-sized string
+    row_format = " ".join(["%.17g"] * scores.num_labels)
     for (i, j), row in zip(iter_spans(scores.n), scores.values):
         if not np.isfinite(row).all():
             raise ValueError(f"refusing to write non-finite score at span ({i}, {j})")
-        sink.write(f"{i} {j} " + " ".join(format(v, ".17g") for v in row) + "\n")
+        sink.write(f"{i} {j} " + row_format % tuple(row.tolist()) + "\n")
     sink.write("\n")
 
 
@@ -333,8 +335,7 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
     vocab = LabelVocab(labels)
     num_spans = n * (n + 1) // 2
     try:
-        # one allocation before the rows: a list of rows first would hold
-        # the block twice
+        # one allocation, which each span line is parsed straight into
         scores = SpanScores(n, num_labels)
     except (MemoryError, ValueError):  # numpy: "array is too big" past the address space
         raise ValueError(f"line {header_line}: header claims {num_spans} spans of "
@@ -352,32 +353,36 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
         if parts[0] != str(i) or parts[1] != str(j):
             raise ValueError(f"line {lineno}: expected span ({i}, {j}), "
                              f"found ({parts[0]}, {parts[1]})")
+        row = scores.values[k]
         try:
-            row = [float(v) for v in parts[2:]]
+            row[:] = list(map(float, parts[2:]))
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric score value") from None
-        if not all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             raise ValueError(f"line {lineno}: non-finite score value")
-        scores.values[k] = row
     return sentence_id, scores, vocab
 
 
-def read_score_file(source: TextIO) -> tuple[list[tuple[str, SpanScores]], LabelVocab]:
-    """Read every sentence block; all blocks must share one label set."""
+def read_score_file(source: TextIO) -> Iterator[tuple[str, SpanScores, LabelVocab]]:
+    """Yield ``(sentence_id, scores, vocab)`` for each block of a score file,
+    reading a block only when the caller asks for it.
+
+    Every block must have the first block's label set; all blocks yield
+    the first block's vocabulary.  A malformed block raises ``ValueError``
+    with its line number when it is reached, after the blocks before it
+    were yielded; an empty file raises once it is exhausted.
+    """
     lines = enumerate(source, start=1)
-    out: list[tuple[str, SpanScores]] = []
     vocab: LabelVocab | None = None
-    while True:
-        block = _read_block(lines)
-        if block is None:
-            break
+    while (block := _read_block(lines)) is not None:
         sentence_id, scores, block_vocab = block
+        del block
         if vocab is None:
             vocab = block_vocab
         elif block_vocab.labels != vocab.labels:
             raise ValueError(f"sentence {sentence_id}: label set differs from "
                              f"the first block")
-        out.append((sentence_id, scores))
+        yield sentence_id, scores, vocab
+        del scores  # not held while the next block is read
     if vocab is None:
         raise ValueError("missing header: empty score file")
-    return out, vocab

@@ -1,5 +1,6 @@
 """Word-level <-> character-level tree transformation."""
 
+import gc
 import hashlib
 import itertools
 
@@ -77,6 +78,17 @@ def test_gold_span_labels():
         (2, 3): "@1",
     }
     assert gold.label_of(1, 3) == NULL_LABEL
+
+
+def test_gold_span_labels_leaves_no_reference_cycles():
+    ct = to_char_tree(tree("(IP (NP (NN 飞机场)) (VP (VV 走)))"))
+    gc.collect()
+    gc.disable()
+    try:
+        gold_span_labels(ct)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_segmentation_of():

@@ -7,13 +7,17 @@ import io
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from charspan import cli
 from charspan.chartree import gold_span_labels, to_char_tree
+from charspan.labels import NULL_LABEL
 from charspan.scorers import MLPHead
-from charspan.scoring import build_vocab, oracle_scores, write_scores
+from charspan.scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
+                              write_scores)
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import Checkpoint
 from charspan.treebank import load_corpus, save_corpus
@@ -143,8 +147,84 @@ def test_parse_score_file_header_claiming_too_many_spans(tmp_path):
                     encoding="utf-8")
     r = run_cli("parse", "--score-file", str(path))
     assert r.returncode == 2
-    assert "charspan: error: line 1: " in r.stderr
+    assert f"charspan: error: {path}: line 1: " in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_parse_score_file_error_in_last_block_writes_nothing(workdir, tmp_path,
+                                                            monkeypatch, capsys):
+    # the blocks before the bad one are decoded first; the error still names
+    # the file and the line, and no output file is started
+    lines = (workdir / "scores.txt").read_text(encoding="utf-8").split("\n")
+    last = len(lines) - 3  # index of the last span line: the text ends "\n\n"
+    lines[last] = lines[last].rsplit(" ", 1)[0] + " oops"
+    path = tmp_path / "scores.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    decode = cli.cky_decode
+    decoded = []
+
+    def counting_decode(scores, *args, **kwargs):
+        decoded.append(scores.n)
+        return decode(scores, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cky_decode", counting_decode)
+    outputs = [tmp_path / name for name in ("trees.txt", "segs.txt", "chars.txt")]
+    code = cli.main(["parse", "--score-file", str(path),
+                     "--input", str(workdir / "sents.txt"),
+                     "--output", str(outputs[0]), "--segs", str(outputs[1]),
+                     "--char-trees", str(outputs[2])])
+    assert code == 2
+    assert capsys.readouterr().err == (f"charspan: error: {path}: line {last + 1}: "
+                                       f"non-numeric score value\n")
+    assert len(decoded) == 7
+    assert not any(out.exists() for out in outputs)
+
+
+@pytest.mark.parametrize("keep, extra", [(3, 0), (8, 1)])
+def test_parse_sentence_count_mismatch_counts_every_block(workdir, tmp_path, capsys,
+                                                          keep, extra):
+    lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
+    sents = tmp_path / "sents.txt"
+    sents.write_text("\n".join(lines[:keep] + ["嗯"] * extra) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "trees.txt"
+    code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
+                     "--input", str(sents), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"charspan: error: score file has 8 "
+                                       f"sentences, input has {keep + extra}\n")
+    assert not out.exists()
+
+
+def test_parse_score_file_memory_stays_at_one_block(tmp_path):
+    # Scores are held one block at a time; the kept char trees still grow
+    # with the corpus (about 7 KB a sentence here), so L = 32 makes one
+    # block (210 KB at n = 40) outweigh the 12 sentences added below.
+    ns, num_labels = (20, 27, 33, 40), 32
+    block_bytes = max(ns) * (max(ns) + 1) // 2 * num_labels * 8
+    vocab = LabelVocab([NULL_LABEL, "@1", "@2"] +
+                       [f"X{k}" for k in range(num_labels - 3)])
+    rng = np.random.default_rng(5)
+    buf = io.StringIO()
+    for k, n in enumerate(ns):
+        values = rng.normal(size=(n * (n + 1) // 2, num_labels))
+        write_scores(SpanScores(n, num_labels, values), vocab, buf, str(k))
+
+    def peak(repeats: int) -> int:
+        path = tmp_path / f"scores{repeats}.txt"
+        path.write_text(buf.getvalue() * repeats, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = cli.main(["parse", "--score-file", str(path),
+                             "--output", str(tmp_path / "trees.txt")])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak_bytes
+
+    peak(1)  # first calls fill lazy caches
+    assert peak(4) - peak(1) < block_bytes
 
 
 def test_parse_requires_input_with_checkpoint(workdir):

@@ -1,5 +1,7 @@
 """Segmentation F1 and character-span labeled-bracket F1."""
 
+import gc
+
 import pytest
 
 from charspan.chartree import WordSegmentation
@@ -59,6 +61,17 @@ def test_constituents_count_unary_duplicates():
     t = tree("(TOP (NP (NP (NN 中国))))")
     c = constituents(t)
     assert c[("NP", 0, 2)] == 2
+
+
+def test_constituents_leaves_no_reference_cycles():
+    t = tree("(TOP (IP (NP (NN 中国)) (VP (VV 发展))))")
+    gc.collect()
+    gc.disable()
+    try:
+        constituents(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_word_sentence_has_no_scorable_brackets():

@@ -1,5 +1,6 @@
 """Span features, vocabularies, and the score file format."""
 
+import gc
 import io
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_build_vocab_order_and_required_labels():
     assert vocab.labels.index("IP") < vocab.labels.index("VV+@1")
     with pytest.raises(ValueError, match="empty"):
         build_vocab([])
+
+
+def test_build_vocab_leaves_no_reference_cycles():
+    cts = [to_char_tree(parse_bracketed(text)[0])
+           for text in ("(IP (NP (NN 飞机场)) (VP (VV 走)))", "(NN 好)")]
+    gc.collect()
+    gc.disable()
+    try:
+        build_vocab(cts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_span_representation_deterministic_and_bounded():
@@ -263,9 +276,8 @@ def test_score_file_round_trip_exact():
     text = buf.getvalue()
     assert text.startswith("#scores s7 3 4\n#labels NULL @1 NN IP\n")
     assert text.endswith("\n\n")
-    blocks, loaded_vocab = read_score_file(io.StringIO(text))
+    [(_, loaded, loaded_vocab)] = list(read_score_file(io.StringIO(text)))
     assert loaded_vocab.labels == vocab.labels
-    loaded = blocks[0][1]
     # %.17g is lossless for doubles
     for i, j in iter_spans(3):
         k = span_row(3, i, j)
@@ -278,10 +290,36 @@ def test_score_file_multiple_sentences():
     write_scores(SpanScores(2, 3), vocab, buf, sentence_id="a")
     write_scores(SpanScores(4, 3), vocab, buf, sentence_id="b")
     buf.seek(0)
-    blocks, v = read_score_file(buf)
-    assert [sid for sid, _ in blocks] == ["a", "b"]
+    blocks = list(read_score_file(buf))
+    assert [sid for sid, _, _ in blocks] == ["a", "b"]
     assert blocks[1][1].n == 4
-    assert v.labels == vocab.labels
+    assert blocks[0][2].labels == vocab.labels
+
+
+def test_write_scores_bytes_match_format_17g():
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3, 1.0,
+               123456789012345678.0, -2.5]
+    vocab = LabelVocab([NULL_LABEL, "@1"] + [f"X{k}" for k in range(12)])
+    values = np.array([special, special[::-1], special[7:] + special[:7]])
+    scores = SpanScores(2, 14, values, validate=False)
+    text = _round_trip(scores, vocab).getvalue()
+    expected = "".join(f"{i} {j} " + " ".join(format(v, ".17g") for v in row) + "\n"
+                       for (i, j), row in zip(iter_spans(2), values))
+    assert text.split("\n", 2)[2] == expected + "\n"
+    [(_, loaded, _)] = list(read_score_file(io.StringIO(text)))
+    # bitwise, so the sign of zero counts
+    assert loaded.values.tobytes() == values.tobytes()
+
+
+def test_score_file_blocks_are_read_one_at_a_time():
+    vocab = LabelVocab([NULL_LABEL, "@1"])
+    good = _round_trip(SpanScores(1, 2), vocab, "a").getvalue()
+    blocks = read_score_file(io.StringIO(good + good.replace("0 1 0 0", "0 1 0 x")))
+    sentence_id, scores, block_vocab = next(blocks)
+    assert (sentence_id, scores.n, block_vocab.labels) == ("a", 1, vocab.labels)
+    with pytest.raises(ValueError, match="^line 7: non-numeric score value$"):
+        next(blocks)
 
 
 def _one_span_line(header):
@@ -306,7 +344,7 @@ def test_score_file_errors(mangle, message):
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
     text = _round_trip(SpanScores(2, 3), vocab).getvalue()
     with pytest.raises(ValueError, match=message):
-        read_score_file(io.StringIO(mangle(text)))
+        list(read_score_file(io.StringIO(mangle(text))))
 
 
 def test_score_file_rejects_nonnumeric_value():
@@ -315,7 +353,7 @@ def test_score_file_rejects_nonnumeric_value():
             "#labels NULL @1\n"
             "0 1 0.5 oops\n\n")
     with pytest.raises(ValueError, match="non-numeric"):
-        read_score_file(io.StringIO(text))
+        list(read_score_file(io.StringIO(text)))
 
 
 def test_score_file_rejects_nonfinite_value():
@@ -324,7 +362,7 @@ def test_score_file_rejects_nonfinite_value():
             "#labels NULL @1\n"
             "0 1 0.5 inf\n\n")
     with pytest.raises(ValueError, match="non-finite"):
-        read_score_file(io.StringIO(text))
+        list(read_score_file(io.StringIO(text)))
 
 
 def test_score_file_rejects_inconsistent_label_sets():
@@ -333,7 +371,7 @@ def test_score_file_rejects_inconsistent_label_sets():
     write_scores(SpanScores(1, 2), LabelVocab([NULL_LABEL, "NN+@1"]), buf, "b")
     buf.seek(0)
     with pytest.raises(ValueError, match="label set differs"):
-        read_score_file(buf)
+        list(read_score_file(buf))
 
 
 def test_write_scores_refuses_nonfinite():

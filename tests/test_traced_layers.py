@@ -3,8 +3,10 @@
 ``perfbench/spec.py`` lists, per workload, the functions that must record
 at least one call under ``perfbench/tracing.py``'s tracer; a traced run
 fails when one records none.  This test drives the same functions through
-the command line, in a fresh interpreter because the tracer rewraps the
-package for good, and reads perfbench without changing it.
+the command line (and, for the score file that ``parse --score-file``
+reads, through the library calls the benchmark uses to write it), in a
+fresh interpreter because the tracer rewraps the package for good, and
+reads perfbench without changing it.
 """
 
 import json
@@ -24,7 +26,8 @@ import json, sys
 import spec, tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
-from charspan import cli
+from charspan import (build_vocab, cli, gold_span_labels, load_corpus,
+                      oracle_scores, to_char_tree, write_scores)
 work = sys.argv[1]
 train = ["train", work + "/gold.txt", work + "/gold.txt", work + "/model.npz",
          "--learning-rate", "0.5", "--batch-size", "4",
@@ -32,10 +35,18 @@ train = ["train", work + "/gold.txt", work + "/gold.txt", work + "/model.npz",
 parse = ["parse", "--checkpoint", work + "/model.npz", "--input",
          work + "/sents.txt", "--output", work + "/trees.txt",
          "--char-trees", work + "/chars.txt"]
-codes = [cli.main(train), cli.main(parse)]
+cts = [to_char_tree(t) for t in load_corpus(work + "/gold.txt")]
+vocab = build_vocab(cts)
+with open(work + "/scores.txt", "w", encoding="utf-8") as sink:
+    for k, ct in enumerate(cts):
+        write_scores(oracle_scores(gold_span_labels(ct), vocab), vocab, sink, str(k))
+parse_scores = ["parse", "--score-file", work + "/scores.txt", "--input",
+                work + "/sents.txt", "--output", work + "/score-trees.txt",
+                "--char-trees", work + "/score-chars.txt"]
+codes = [cli.main(train), cli.main(parse), cli.main(parse_scores)]
 print(json.dumps({"codes": codes, "calls": dict(tracer.calls),
-                  "expected": {k: spec.EXPECTED_CALLS[k]
-                               for k in ("parse-checkpoint", "train")}}))
+                  "expected": {k: spec.EXPECTED_CALLS[k] for k in
+                               ("parse-checkpoint", "parse-scorefile", "train")}}))
 """
 
 
@@ -51,7 +62,7 @@ def test_traced_cli_run_calls_every_expected_layer(tmp_path):
                        capture_output=True, text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0], r.stderr
+    assert report["codes"] == [0, 0, 0], r.stderr
     for workload, names in report["expected"].items():
         silent = [name for name in names if report["calls"].get(name, 0) < 1]
         assert not silent, f"{workload}: no calls recorded for {silent}"
