@@ -16,7 +16,7 @@ from .decoder import (DecodeConfig, apply_masks, available_backends,
 from .labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
 from .losses import LossValue, label_loss, tree_loss
 from .metrics import PRF, constituents, joint_report, parse_f1, seg_f1
-from .scorers import LinearScorer, MLPHead, mlp_backward
+from .scorers import LinearScorer, MLPHead, SentenceGradient
 from .scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
                       read_score_file, score_spans,
                       span_representation, write_scores)
@@ -39,7 +39,7 @@ __all__ = [
     "save_char_trees",
     "LabelVocab", "SpanScores", "build_vocab", "span_representation",
     "score_spans", "oracle_scores", "write_scores", "read_score_file",
-    "LinearScorer", "MLPHead", "mlp_backward",
+    "LinearScorer", "MLPHead", "SentenceGradient",
     "DecodeConfig", "apply_masks", "available_backends", "cky_decode",
     "brute_force_decode", "tree_score",
     "LossValue", "label_loss", "tree_loss",

@@ -171,13 +171,26 @@ def _backtrace(vocab: LabelVocab, bestlab: np.ndarray, split: np.ndarray,
 
 def tree_score(scores: SpanScores, vocab: LabelVocab, tree: CharTree) -> float:
     """Sum of the tree's chosen span scores, associated exactly as the
-    chart fill associates them, so it reproduces cky_decode's total."""
-    i, j = tree.span
-    v = float(scores.values[span_row(scores.n, i, j), vocab.index[tree.label]])
-    if tree.char is not None:
-        return v
-    return v + (tree_score(scores, vocab, tree.left)
-                + tree_score(scores, vocab, tree.right))
+    chart fill associates them, so it reproduces cky_decode's total: a
+    node adds its own score to the sum of its two subtrees' totals.
+
+    The walk keeps an explicit stack, so tree depth is not bounded by the
+    recursion limit.
+    """
+    totals: list[float] = []  # finished subtrees, left before right
+    stack = [(tree, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if node.char is None and not children_done:
+            stack += ((node, True), (node.right, False), (node.left, False))
+            continue
+        i, j = node.span
+        v = float(scores.values[span_row(scores.n, i, j), vocab.index[node.label]])
+        if node.char is None:
+            right = totals.pop()
+            v = v + (totals.pop() + right)
+        totals.append(v)
+    return totals[0]
 
 
 def _masked_copy(scores: SpanScores, vocab: LabelVocab,

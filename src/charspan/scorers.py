@@ -5,17 +5,23 @@ per label, or an (S, 8) id matrix to an (S, L) score array in one batch.
 ``LinearScorer`` is a hashed linear model whose weights live in a compact
 table keyed by hashed id; ``MLPHead`` is a two-layer perceptron with a
 rectifier and inverted dropout, so the inference path needs no rescaling.
-Gradients for the first-layer weights come back sparse, as (ids, rows)
-pairs, because only the feature rows a span touches receive gradient.
+
+Training goes one sentence at a time.  ``backward(rep, rows, grad, cache)``
+takes a loss's gradient for the packed score ``rows`` of one sentence and
+returns a ``SentenceGradient``; ``sgd_step`` applies a batch of them, one
+sentence after another in batch order, and within a sentence span by span
+and feature by feature, the order every weight's updates round in.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .scoring import SpanRepresentation
 
-Gradients = dict
+_UPDATE_ROWS = 1024  # rows per np.subtract.at in _subtract_rows
 
 
 def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -37,27 +43,48 @@ def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out if ids.ndim == 2 else out[0]
 
 
-def span_cache(cache: dict | None, k: int) -> dict | None:
-    """Span k's part of the cache of a batch ``score_train``."""
-    if cache is None:
-        return None
-    return {name: None if value is None else value[k]
-            for name, value in cache.items()}
+class SentenceGradient(NamedTuple):
+    """One sentence's gradient, span by span, before the SGD scale.
+
+    Span k's feature ids ``ids[k]`` (-1 for none) each take ``feature[k]``,
+    the gradient at the sum of their first-layer rows.  An MLP also keeps
+    each span's hidden activations ``hidden[k]`` and score gradient
+    ``grad[k]``, whose outer product is span k's ``W2`` gradient.
+    """
+
+    ids: np.ndarray                   # (R, 8)
+    feature: np.ndarray               # (R, L) linear, (R, H) MLP
+    hidden: np.ndarray | None = None  # (R, H), MLP only
+    grad: np.ndarray | None = None    # (R, L), MLP only
+
+    def feature_updates(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every (feature id, ``scale`` times its gradient row) of the
+        sentence, span by span and in feature order within a span."""
+        present = self.ids >= 0
+        return self.ids[present], (scale * self.feature)[np.nonzero(present)[0]]
 
 
-def _apply_sgd(params: dict[str, np.ndarray], grads: list[Gradients], lr: float,
-               count: int | None = None) -> None:
-    # Plain SGD on the batch mean; ``count`` is the number of training
-    # examples the entries in ``grads`` came from (one example usually
-    # contributes many per-span gradient dicts).
-    scale = lr / (count if count is not None else len(grads))
-    for g in grads:
-        for name, val in g.items():
-            if isinstance(val, tuple):
-                ids, rows = val
-                np.subtract.at(params[name], ids, scale * rows)
-            else:
-                params[name] -= scale * val
+def _subtract_rows(table: np.ndarray, pos: np.ndarray, updates: np.ndarray) -> None:
+    """``np.subtract.at(table, pos, updates)`` for a C-contiguous 2-D
+    ``table``: row ``pos[t]`` takes ``updates[t]`` for t in order, so each
+    weight takes its updates in the same order and with the same rounding.
+
+    numpy's ``ufunc.at`` is several times faster on single elements than on
+    whole rows, so this addresses the flattened table, ``_UPDATE_ROWS``
+    rows at a time to bound the index array.
+    """
+    width = table.shape[1]
+    weights = table.reshape(-1, copy=False)
+    columns = np.arange(width)
+    for start in range(0, len(pos), _UPDATE_ROWS):
+        part = slice(start, start + _UPDATE_ROWS)
+        np.subtract.at(weights, (pos[part, None] * width + columns).ravel(),
+                       updates[part].ravel())
+
+
+def _check_upstream(grad: np.ndarray) -> None:
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite upstream gradient")
 
 
 def check_keys(keys: np.ndarray, dim: int) -> None:
@@ -85,15 +112,16 @@ class LinearScorer:
                              f"got shape {rows.shape}")
         check_keys(keys, dim)
         self.dim = dim
-        self._set(keys, rows)
+        table = np.zeros((len(keys) + 1, num_labels))
+        table[:-1] = rows
+        self._set(keys, table)
 
-    def _set(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        # a trailing zero row answers every id that is not a key; ``rows``
-        # is a view, so updates to it land in the table
-        self._table = np.zeros((len(keys) + 1, rows.shape[1]))
-        self._table[:-1] = rows
+    def _set(self, keys: np.ndarray, table: np.ndarray) -> None:
+        # the trailing zero row of ``table`` answers every id that is not a
+        # key; ``rows`` is a view, so updates to it land in the table
+        self._table = table
         self.keys = keys
-        self.rows = self._table[:-1]
+        self.rows = table[:-1]
 
     @property
     def num_labels(self) -> int:
@@ -109,16 +137,17 @@ class LinearScorer:
 
     def register(self, ids) -> None:
         """Give every id in ``ids`` (-1 aside) a row, all zero if it is new."""
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        new = np.setdiff1d(ids[ids >= 0], self.keys)
+        ids = np.sort(np.asarray(ids, dtype=np.int64).ravel())
+        ids = ids[ids >= 0]
+        # the first of each run of equal ids that is not a key yet
+        new = ids[(np.diff(ids, prepend=-1) > 0) & (self._positions(ids) == len(self.keys))]
         if not new.size:
             return
         if new[-1] >= self.dim:
             raise ValueError(f"feature id {new[-1]} is not below {self.dim}")
-        keys = np.union1d(self.keys, new)
-        rows = np.zeros((len(keys), self.num_labels))
-        rows[np.searchsorted(keys, self.keys)] = self.rows
-        self._set(keys, rows)
+        at = np.searchsorted(self.keys, new)
+        # the new table, with its zero rows in place, in one allocation
+        self._set(np.insert(self.keys, at, new), np.insert(self._table, at, 0.0, axis=0))
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
         return _gather_sum(self._table, self._positions(rep.ids))
@@ -127,31 +156,36 @@ class LinearScorer:
         # No dropout in the linear model; train scoring equals inference.
         return self.score(rep), None
 
-    def backward(self, rep: SpanRepresentation, upstream: np.ndarray,
-                 cache=None) -> Gradients:
-        if not np.isfinite(upstream).all():
-            raise ValueError("non-finite upstream gradient")
-        rows = np.tile(upstream, (len(rep.ids), 1))
-        return {"W": (rep.ids, rows)}
+    def backward(self, rep: SpanRepresentation, rows: np.ndarray, grad: np.ndarray,
+                 cache=None) -> SentenceGradient:
+        """The weight gradient of score rows ``rows`` of the sentence whose
+        spans ``rep`` holds, given their gradient ``grad``."""
+        _check_upstream(grad)
+        return SentenceGradient(rep.ids[rows], grad)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"keys": self.keys, "rows": self.rows}
 
-    def sgd_step(self, grads: list[Gradients], lr: float,
+    def sgd_step(self, grads: list[SentenceGradient], lr: float,
                  count: int | None = None) -> None:
-        """Plain SGD on the batch mean; ids without a row get one first.
+        """Plain SGD on the batch mean; an id without a row gets one.
 
-        Gradient rows land one by one in order, so every weight takes its
-        updates in the order, and with the rounding, of ``np.subtract.at``
-        on the dense matrix.
+        One ``np.subtract.at`` per sentence lands its updates one by one, so
+        every weight takes them in the order, and with the rounding, of
+        ``np.subtract.at`` on the dense matrix.
         """
-        if not grads:
-            return
-        self.register(np.concatenate([g["W"][0] for g in grads]))
         scale = lr / (count if count is not None else len(grads))
         for g in grads:
-            ids, rows = g["W"]
-            np.subtract.at(self.rows, np.searchsorted(self.keys, ids), scale * rows)
+            self._subtract(*g.feature_updates(scale))
+
+    def _subtract(self, ids: np.ndarray, updates: np.ndarray) -> None:
+        # one sentence's expanded updates live only during this call
+        pos = self._positions(ids)
+        new = pos == len(self.keys)
+        if new.any():
+            self.register(ids[new])
+            pos = np.searchsorted(self.keys, ids)
+        _subtract_rows(self.rows, pos, updates)
 
 
 class MLPHead:
@@ -231,42 +265,44 @@ class MLPHead:
         cache = {"pre": pre, "keep": keep}
         return self._output(h), cache
 
-    def backward(self, rep: SpanRepresentation, upstream: np.ndarray,
-                 cache: dict | None = None) -> Gradients:
-        return mlp_backward(self, rep, upstream, cache)
+    def backward(self, rep: SpanRepresentation, rows: np.ndarray, grad: np.ndarray,
+                 cache: dict | None = None) -> SentenceGradient:
+        """Gradients of score rows ``rows`` of the sentence whose spans
+        ``rep`` holds, given their gradient ``grad``.
+
+        Without ``cache`` the forward pass is recomputed with dropout off;
+        pass the cache from ``score_train`` to backpropagate through its mask.
+        """
+        grad = np.array(grad, dtype=np.float64)  # the b2 gradient; a copy
+        _check_upstream(grad)
+        ids = rep.ids[rows]
+        if cache is None:
+            pre = self._pre_hidden(SpanRepresentation(ids, rep.dim))
+            keep = None
+        else:
+            pre = cache["pre"][rows]
+            keep = None if cache["keep"] is None else cache["keep"][rows]
+        h = np.maximum(pre, 0.0)
+        # one product per span, like the forward pass
+        dh = np.empty_like(pre)
+        for row, upstream in zip(dh, grad):
+            row[:] = self.W2 @ upstream
+        if keep is not None:
+            h = h * keep
+            dh = dh * keep
+        return SentenceGradient(ids, dh * (pre > 0.0), h, grad)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def sgd_step(self, grads: list[Gradients], lr: float,
+    def sgd_step(self, grads: list[SentenceGradient], lr: float,
                  count: int | None = None) -> None:
-        _apply_sgd(self.params(), grads, lr, count)
-
-
-def mlp_backward(head: MLPHead, rep: SpanRepresentation, upstream: np.ndarray,
-                 cache: dict | None = None) -> Gradients:
-    """Analytic gradients of the MLP forward map at one span.
-
-    Without ``cache`` the forward pass is recomputed with dropout off; pass
-    the cache from ``score_train`` to backpropagate through its mask.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if not np.isfinite(upstream).all():
-        raise ValueError("non-finite upstream gradient")
-    if cache is None:
-        pre = head._pre_hidden(rep)
-        keep = None
-    else:
-        pre = cache["pre"]
-        keep = cache["keep"]
-    h = np.maximum(pre, 0.0)
-    if keep is not None:
-        h = h * keep
-    g_W2 = np.outer(h, upstream)
-    g_b2 = upstream.copy()
-    dh = head.W2 @ upstream
-    if keep is not None:
-        dh = dh * keep
-    dpre = dh * (pre > 0.0)
-    rows = np.tile(dpre, (len(rep.ids), 1))
-    return {"W1": (rep.ids, rows), "b1": dpre, "W2": g_W2, "b2": g_b2}
+        """Plain SGD on the batch mean.  Each parameter takes its updates
+        span by span, as if every span were a step of its own."""
+        scale = lr / (count if count is not None else len(grads))
+        for g in grads:
+            _subtract_rows(self.W1, *g.feature_updates(scale))
+            for hidden, feature, upstream in zip(g.hidden, g.feature, g.grad):
+                self.b1 -= scale * feature
+                self.W2 -= scale * np.outer(hidden, upstream)
+                self.b2 -= scale * upstream

@@ -164,10 +164,14 @@ class SpanRepresentation:
     dim: int
 
 
+# the keyed state, made once; each feature string updates a copy of it
+_KEYED_HASH = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+
+
 def _feature_id(feature: str, dim: int) -> int:
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8,
-                             key=_HASH_KEY).digest()
-    return int.from_bytes(digest, "little") % dim
+    h = _KEYED_HASH.copy()
+    h.update(feature.encode("utf-8"))
+    return int.from_bytes(h.digest(), "little") % dim
 
 
 def _length_bucket(length: int) -> str:
@@ -185,8 +189,9 @@ def span_representation(chars: Sequence[str], i, j,
     feature order: L, B, E, R, LB, ER, then S (only for spans of at most 4
     characters), then W.  With equal-length integer arrays the result is an
     (S, 8) matrix with one row per span in the same column order and -1 in
-    the S column of wider spans.  Each distinct feature string among the
-    requested spans is hashed once.
+    the S column of wider spans.  The features of every position of
+    ``chars`` are hashed, each distinct string once, into per-position id
+    tables that the spans index.
     """
     starts = np.atleast_1d(np.asarray(i, dtype=np.int64))
     ends = np.atleast_1d(np.asarray(j, dtype=np.int64))
@@ -207,28 +212,28 @@ def span_representation(chars: Sequence[str], i, j,
             fid = memo[feature] = _feature_id(feature, dim)
         return fid
 
-    def gather(keys: np.ndarray, *features) -> np.ndarray:
-        # one column per feature: its ids for each distinct key, then per span
-        distinct, where = np.unique(keys, return_inverse=True)
-        table = np.array([[hashed(feature(key)) for feature in features]
-                          for key in distinct.tolist()], dtype=np.int64)
-        return table.reshape(len(distinct), len(features))[where]
-
-    # padded[p] is the character before position p, padded[p + 1] the one at p
+    # Per-position id tables, gathered by index below.  Position p sits
+    # between padded[p] and padded[p + 1]: the characters before and at p.
     padded = [LEFT_SENTINEL, *chars, RIGHT_SENTINEL]
+    around = list(zip(padded, padded[1:]))
+    by_start = np.array([(hashed("L:" + a), hashed("B:" + b), hashed("LB:" + a + b))
+                         for a, b in around[:n]], dtype=np.int64).reshape(n, 3)
+    by_end = np.array([(hashed("E:" + a), hashed("R:" + b), hashed("ER:" + a + b))
+                       for a, b in around[1:]], dtype=np.int64).reshape(n, 3)
+    # by_short[p, w]: span (p, p + w) for widths 1-4; column 0 stays -1 and
+    # answers every wider span
+    by_short = np.full((n, 5), -1, dtype=np.int64)
+    for w in range(1, min(n, 4) + 1):
+        by_short[:n - w + 1, w] = [hashed("S:" + "".join(chars[p:p + w]))
+                                   for p in range(n - w + 1)]
+    by_width = np.array([-1] + [hashed("W:" + _length_bucket(w))
+                                for w in range(1, n + 1)], dtype=np.int64)
     widths = ends - starts
-    short = widths <= 4
-    ids = np.full((len(starts), 8), -1, dtype=np.int64)
-    ids[:, [0, 1, 4]] = gather(starts, lambda p: "L:" + padded[p],
-                               lambda p: "B:" + padded[p + 1],
-                               lambda p: "LB:" + padded[p] + padded[p + 1])
-    ids[:, [2, 3, 5]] = gather(ends, lambda q: "E:" + padded[q],
-                               lambda q: "R:" + padded[q + 1],
-                               lambda q: "ER:" + padded[q] + padded[q + 1])
-    # a short span is keyed by start * 5 + width
-    ids[short, 6:7] = gather(starts[short] * 5 + widths[short], lambda key: (
-        "S:" + "".join(chars[key // 5:key // 5 + key % 5])))
-    ids[:, 7:] = gather(widths, lambda w: "W:" + _length_bucket(w))
+    ids = np.empty((len(starts), 8), dtype=np.int64)
+    ids[:, [0, 1, 4]] = by_start[starts]
+    ids[:, [2, 3, 5]] = by_end[ends - 1]
+    ids[:, 6] = by_short[starts, np.where(widths <= 4, widths, 0)]
+    ids[:, 7] = by_width[widths]
     if np.ndim(i) == 0 and np.ndim(j) == 0:
         row = ids[0]
         return SpanRepresentation(row[row >= 0], dim)

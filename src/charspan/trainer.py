@@ -24,9 +24,9 @@ from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
 from .decoder import DecodeConfig, cky_decode
 from .losses import MARGIN_MODES, SPAN_SETS, label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
-from .scorers import LinearScorer, MLPHead, check_keys, span_cache
-from .scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
-                      span_bounds, span_representation, span_row, score_spans)
+from .scorers import LinearScorer, MLPHead, check_keys
+from .scoring import (LabelVocab, SpanScores, build_vocab, span_bounds,
+                      span_representation, score_spans)
 
 FEATURE_SCORER_LEARNING_RATE = 0.1
 
@@ -218,30 +218,18 @@ def _make_scorer(config: TrainConfig, dim: int, num_labels: int,
     return MLPHead(dim, num_labels, config.mlp_hidden, config.dropout, rng=rng)
 
 
-def _sentence_pass(scorer, chars, rep, gold_map, gold_ct, vocab, kind,
+def _sentence_pass(scorer, rep, gold_map, gold_ct, vocab, kind,
                    config: TrainConfig, decode_cfg: DecodeConfig,
                    rng: np.random.Generator):
-    n = len(chars)
+    """One sentence's loss and the scorer's gradient of it."""
     batch, cache = scorer.score_train(rep, rng)
-    scores = SpanScores(n, len(vocab), batch, validate=False)
+    scores = SpanScores(gold_map.n, len(vocab), batch, validate=False)
     if kind == "label":
         lv = label_loss(scores, gold_map, vocab, spans=config.loss_spans)
     else:
         lv = tree_loss(scores, gold_ct, vocab, decode_cfg,
                        margin_mode=config.margin_mode)
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j, l), g in lv.score_gradient.items():
-        row = rows.get((i, j))
-        if row is None:
-            row = rows[(i, j)] = np.zeros(len(vocab))
-        row[l] = g
-    grads = []
-    for (i, j), row in rows.items():
-        k = span_row(n, i, j)
-        ids = rep.ids[k]
-        grads.append(scorer.backward(SpanRepresentation(ids[ids >= 0], rep.dim),
-                                     row, span_cache(cache, k)))
-    return lv.value, grads
+    return lv.value, scorer.backward(rep, lv.rows, lv.grad, cache)
 
 
 def _decode_corpus(scorer, vocab: LabelVocab, trees, decode_cfg: DecodeConfig):
@@ -296,8 +284,9 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
         scorer.register(np.concatenate([rep.ids for rep in reps]))
 
     lr = config.effective_learning_rate
+    # dev F1 is never NaN, so epoch 1 always beats -1 and sets best_params
     best_f1 = -1.0
-    best_params = {k: v.copy() for k, v in scorer.params().items()}
+    best_params: dict[str, np.ndarray] = {}
     best_epoch = 0
     decays = 0
     since_improve = 0
@@ -310,16 +299,15 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
             batch = order[start:start + config.batch_size]
             grads = []
             for s in batch:
-                value, sent_grads = _sentence_pass(
-                    scorer, sentences[s], reps[s], gold_maps[s], gold_char[s],
+                value, grad = _sentence_pass(
+                    scorer, reps[s], gold_maps[s], gold_char[s],
                     vocab, kind, config, decode_cfg, rng)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite {kind} loss in batch "
                                        f"{batch_id} of epoch {epoch}")
                 epoch_loss += value
-                grads.extend(sent_grads)
-            if grads:
-                scorer.sgd_step(grads, lr, count=len(batch))
+                grads.append(grad)
+            scorer.sgd_step(grads, lr, count=len(batch))
 
         seg, par = _evaluate(scorer, vocab, dev_trees, decode_cfg)
         if par.f1 > best_f1:

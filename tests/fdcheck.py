@@ -25,3 +25,18 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     if den == 0.0:
         return 0.0
     return float(num / den)
+
+
+def dense_gradients(grad, shapes: dict) -> dict:
+    """Each parameter's gradient from a ``SentenceGradient``: a linear one
+    when ``shapes`` names only "W", an MLP's when it names W1, b1, W2, b2.
+    Linear feature ids index the rows of "W" directly."""
+    out = {name: np.zeros(shape) for name, shape in shapes.items()}
+    ids, rows = grad.feature_updates(1.0)
+    np.add.at(out["W" if "W" in out else "W1"], ids, rows)
+    if "b1" in out:
+        for hidden, feature, upstream in zip(grad.hidden, grad.feature, grad.grad):
+            out["b1"] += feature
+            out["W2"] += np.outer(hidden, upstream)
+            out["b2"] += upstream
+    return out

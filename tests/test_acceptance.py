@@ -20,16 +20,15 @@ from charspan.decoder import (DecodeConfig, brute_force_decode, cky_decode,
 from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.metrics import joint_report, parse_f1, seg_f1
-from charspan.scorers import MLPHead, mlp_backward
-from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
-                              oracle_scores, span_representation, span_row,
-                              write_scores)
+from charspan.scorers import MLPHead
+from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores,
+                              build_vocab, oracle_scores, span_row, write_scores)
 from charspan.synthesis import synthesize_bench_corpus, synthesize_corpus
 from charspan.trainer import TrainConfig, train
 from charspan.treebank import load_corpus, parse_bracketed, save_corpus
 
 from conftest import record_acceptance
-from fdcheck import finite_difference, relative_error
+from fdcheck import dense_gradients, finite_difference, relative_error
 
 
 def criterion(num: int, title: str):
@@ -127,12 +126,6 @@ def test_criterion_3_oracle_reconstruction(score_file_run):
     return f"{len(gold_trees)} sentences via cmd_parse --score-file"
 
 
-def _dense_from_sparse(param_shape, ids, rows):
-    out = np.zeros(param_shape)
-    np.add.at(out, ids, rows)
-    return out
-
-
 @criterion(4, "gradient checks: mlp < 1e-4, label loss < 1e-4, "
               "tree loss < 1e-3, >=100 cases each")
 def test_criterion_4_gradient_checks():
@@ -144,25 +137,20 @@ def test_criterion_4_gradient_checks():
         head = MLPHead(dim, num_labels, hidden=hidden, dropout=0.0,
                        rng=np.random.default_rng(int(rng.integers(1 << 30))))
         ids = rng.integers(0, dim, size=int(rng.integers(1, 6)))
-        rep = span_representation("好" * 4, 0, 2, dim=dim)
-        rep.ids = np.asarray(ids, dtype=np.int64)
+        rep = SpanRepresentation(np.asarray(ids, dtype=np.int64)[None], dim)
         if np.abs(head._pre_hidden(rep)).min() < 1e-4:
             continue  # too close to a relu kink for central differences
         upstream = rng.normal(size=num_labels)
 
         def objective():
-            return float(head.score(rep) @ upstream)
+            return float(head.score(rep)[0] @ upstream)
 
-        grads = mlp_backward(head, rep, upstream)
+        grads = dense_gradients(head.backward(rep, np.array([0]), upstream[None]),
+                                {n: p.shape for n, p in head.params().items()})
         worst = 0.0
         for name, param in head.params().items():
             numeric = finite_difference(objective, param)
-            if name == "W1":
-                analytic = _dense_from_sparse(param.shape, grads["W1"][0],
-                                              grads["W1"][1])
-            else:
-                analytic = grads[name]
-            worst = max(worst, relative_error(analytic, numeric))
+            worst = max(worst, relative_error(grads[name], numeric))
         assert worst < 1e-4, f"mlp case {mlp_cases}: rel err {worst:.2e}"
         mlp_cases += 1
 
@@ -173,9 +161,8 @@ def test_criterion_4_gradient_checks():
     golds = [(ct, gold_span_labels(ct)) for ct in cts]
 
     def numeric_grad(loss_fn, scores, eps):
-        keys, numeric = [], []
-        for i, j in iter_spans(scores.n):
-            k = span_row(scores.n, i, j)
+        numeric = np.zeros_like(scores.values)
+        for k in range(len(scores.values)):
             for l in range(scores.num_labels):
                 saved = scores.values[k, l]
                 scores.values[k, l] = saved + eps
@@ -183,9 +170,14 @@ def test_criterion_4_gradient_checks():
                 scores.values[k, l] = saved - eps
                 lo = loss_fn(scores).value
                 scores.values[k, l] = saved
-                keys.append((i, j, l))
-                numeric.append((hi - lo) / (2 * eps))
-        return keys, np.array(numeric)
+                numeric[k, l] = (hi - lo) / (2 * eps)
+        return numeric
+
+    def analytic_grad(loss, scores):
+        # zero on the rows the loss leaves out
+        out = np.zeros_like(scores.values)
+        out[loss.rows] = loss.grad
+        return out
 
     label_cases = 0
     for case in range(100):
@@ -195,10 +187,9 @@ def test_criterion_4_gradient_checks():
         scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)],
                             validate=False)
         loss = label_loss(scores, gold, vocab)
-        keys, numeric = numeric_grad(lambda s: label_loss(s, gold, vocab),
-                                     scores, 1e-6)
-        analytic = np.array([loss.score_gradient[k] for k in keys])
-        err = relative_error(analytic, numeric)
+        numeric = numeric_grad(lambda s: label_loss(s, gold, vocab), scores, 1e-6)
+        assert len(loss.rows) == len(scores.values)  # every span has a gradient
+        err = relative_error(analytic_grad(loss, scores), numeric)
         assert err < 1e-4, f"label case {case}: rel err {err:.2e}"
         label_cases += 1
 
@@ -237,10 +228,8 @@ def test_criterion_4_gradient_checks():
         if not stable(scores, ct, vocab, 1.0 / (2 * n - 1)):
             continue
         loss = tree_loss(scores, ct, vocab)
-        keys, numeric = numeric_grad(lambda s: tree_loss(s, ct, vocab),
-                                     scores, 1e-6)
-        analytic = np.array([loss.score_gradient.get(k, 0.0) for k in keys])
-        err = relative_error(analytic, numeric)
+        numeric = numeric_grad(lambda s: tree_loss(s, ct, vocab), scores, 1e-6)
+        err = relative_error(analytic_grad(loss, scores), numeric)
         assert err < 1e-3, f"tree case {tree_cases}: rel err {err:.2e}"
         tree_cases += 1
 

@@ -19,6 +19,7 @@ from charspan.decoder import (DecodeConfig, PLACEHOLDER_CHAR, apply_masks,
 from charspan.labels import NULL_LABEL, is_char_label
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
                               iter_spans, oracle_scores, span_row)
+from charspan.treebank import parse_bracketed
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "NN+@1", "NN", "@2"])
 
@@ -93,6 +94,15 @@ def test_total_equals_tree_score_recomputation():
         scores = random_scores(rng, n)
         tree, total = cky_decode(scores, VOCAB)
         assert tree_score(scores, VOCAB, tree) == total
+
+
+def test_tree_score_of_a_deep_tree_needs_no_recursion():
+    # a flat tree of 1200 one-character words binarizes 1200 levels deep
+    words = " ".join(f"(NN {chr(0x4E00 + k)})" for k in range(1200))
+    ct = to_char_tree(parse_bracketed(f"(IP {words})")[0])
+    vocab = build_vocab([ct])
+    scores = oracle_scores(gold_span_labels(ct), vocab)
+    assert tree_score(scores, vocab, ct) == 2399.0  # one per node
 
 
 def test_label_tie_breaks_to_smallest_id():

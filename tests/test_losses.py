@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from charspan.chartree import gold_span_labels, to_char_tree
+from charspan.decoder import tree_score
 from charspan.decoder import DecodeConfig, brute_force_decode, cky_decode
 from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
-                              oracle_scores, span_row)
+                              oracle_scores, span_bounds, span_row)
 from charspan.treebank import parse_bracketed
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "VV+@1", "NN", "@2", "IP"])
@@ -27,17 +28,22 @@ def random_scores(rng, n, num_labels=len(VOCAB), scale=1.0):
                       validate=False)
 
 
-def apply_gradient(scores, gradient, step):
+def dense(loss, scores):
+    # the loss's gradient over every score entry, zero on rows it omits
+    out = np.zeros_like(scores.values)
+    out[loss.rows] = loss.grad
+    return out
+
+
+def apply_gradient(scores, loss, step):
     out = scores.copy()
-    for (i, j, l), g in gradient.items():
-        out.values[span_row(out.n, i, j), l] -= step * g
+    out.values[loss.rows] -= step * loss.grad
     return out
 
 
 def numeric_gradient(loss_fn, scores, eps=1e-6):
-    grad = {}
-    for i, j in iter_spans(scores.n):
-        k = span_row(scores.n, i, j)
+    grad = np.zeros_like(scores.values)
+    for k in range(len(scores.values)):
         for l in range(scores.num_labels):
             saved = scores.values[k, l]
             scores.values[k, l] = saved + eps
@@ -45,7 +51,7 @@ def numeric_gradient(loss_fn, scores, eps=1e-6):
             scores.values[k, l] = saved - eps
             lo = loss_fn(scores).value
             scores.values[k, l] = saved
-            grad[i, j, l] = (hi - lo) / (2 * eps)
+            grad[k, l] = (hi - lo) / (2 * eps)
     return grad
 
 
@@ -65,7 +71,8 @@ def test_label_loss_vanishes_on_confident_scores():
         scores.values[span_row(3, i, j), VOCAB.index[gold.label_of(i, j)]] = 60.0
     loss = label_loss(scores, gold, VOCAB)
     assert loss.value < 1e-12
-    assert all(abs(g) < 1e-12 for g in loss.score_gradient.values())
+    assert loss.rows.tolist() == list(range(6))
+    assert np.abs(loss.grad).max() < 1e-12
 
 
 def test_label_loss_gradient_rows_sum_to_zero():
@@ -73,9 +80,9 @@ def test_label_loss_gradient_rows_sum_to_zero():
     ct, gold = gold_word()
     scores = random_scores(rng, 3)
     loss = label_loss(scores, gold, VOCAB)
-    for i, j in iter_spans(3):
-        row_sum = sum(loss.score_gradient[i, j, l] for l in range(len(VOCAB)))
-        assert abs(row_sum) < 1e-12
+    assert loss.rows.tolist() == list(range(6))
+    for row in loss.grad:
+        assert abs(sum(row.tolist())) < 1e-12
 
 
 def test_label_loss_matches_finite_difference():
@@ -84,8 +91,42 @@ def test_label_loss_matches_finite_difference():
     scores = random_scores(rng, 3)
     loss = label_loss(scores, gold, VOCAB)
     numeric = numeric_gradient(lambda s: label_loss(s, gold, VOCAB), scores)
-    for key, g in numeric.items():
-        assert loss.score_gradient[key] == pytest.approx(g, abs=1e-4)
+    assert np.allclose(dense(loss, scores), numeric, rtol=0.0, atol=1e-4)
+
+
+def _label_loss_span_by_span(scores, gold, vocab, spans):
+    # the per-span arithmetic label_loss must reproduce bit for bit
+    span_list = sorted(gold.entries) if spans == "gold" else iter_spans(scores.n)
+    total = 0.0
+    rows, grad = [], []
+    for i, j in span_list:
+        target = vocab.index[gold.label_of(i, j)]
+        row = scores.values[span_row(scores.n, i, j)]
+        m = row.max()
+        lse = m + np.log(np.exp(row - m).sum())
+        total += float(lse - row[target])
+        p = np.exp(row - lse)
+        p[target] -= 1.0
+        rows.append(span_row(scores.n, i, j))
+        grad.append(p)
+    return total, rows, np.array(grad)
+
+
+@pytest.mark.parametrize("spans", ["all", "gold"])
+def test_label_loss_matches_span_by_span_arithmetic_bitwise(spans):
+    rng = np.random.default_rng(12)
+    texts = ["(NN 飞机场)", "(IP (NP (NN 中国)) (VP (VV 发展) (NN 经济)))"]
+    cts = [to_char_tree(parse_bracketed(t)[0]) for t in texts]
+    vocab = build_vocab(cts)
+    for ct in cts:
+        gold = gold_span_labels(ct)
+        for scale in (0.1, 1.0, 30.0):
+            scores = random_scores(rng, gold.n, len(vocab), scale)
+            loss = label_loss(scores, gold, vocab, spans=spans)
+            total, rows, grad = _label_loss_span_by_span(scores, gold, vocab, spans)
+            assert loss.value == total
+            assert loss.rows.tolist() == rows
+            assert np.array_equal(loss.grad, grad)
 
 
 def test_label_loss_gold_spans_only_touches_gold_spans():
@@ -93,8 +134,10 @@ def test_label_loss_gold_spans_only_touches_gold_spans():
     ct, gold = gold_word()
     scores = random_scores(rng, 3)
     loss = label_loss(scores, gold, VOCAB, spans="gold")
-    touched = {(i, j) for (i, j, _) in loss.score_gradient}
+    starts, ends = span_bounds(3)
+    touched = {(int(starts[k]), int(ends[k])) for k in loss.rows}
     assert touched == set(gold.entries)
+    assert loss.grad.shape == (len(gold.entries), len(VOCAB))
 
 
 def test_label_loss_validation():
@@ -115,7 +158,8 @@ def test_tree_loss_zero_on_oracle_scores():
     for mode in ("flat", "hamming"):
         loss = tree_loss(scores, ct, vocab, margin_mode=mode)
         assert loss.value == 0.0
-        assert loss.score_gradient == {}
+        assert len(loss.rows) == 0
+        assert loss.grad.shape == (0, len(vocab))
 
 
 def test_tree_loss_fully_wrong_tree_flat_margin_is_one():
@@ -139,7 +183,7 @@ def test_tree_loss_fully_wrong_tree_flat_margin_is_one():
     hamming = tree_loss(scores, ct, VOCAB, margin_mode="hamming")
     assert hamming.value == pytest.approx(s_pred + 5.0 - 0.0)
     # subgradient: +1 on predicted pairs, -1 on gold pairs
-    assert sorted(flat.score_gradient.values()) == [-1.0] * 5 + [1.0] * 5
+    assert sorted(flat.grad[flat.grad != 0.0].tolist()) == [-1.0] * 5 + [1.0] * 5
 
 
 def _nodes(ct):
@@ -175,10 +219,49 @@ def test_tree_loss_matches_finite_difference():
             continue
         numeric = numeric_gradient(lambda s: tree_loss(s, ct, VOCAB), scores,
                                    eps=1e-7)
-        for key, g in numeric.items():
-            assert loss.score_gradient.get(key, 0.0) == pytest.approx(g, abs=1e-3)
+        assert np.allclose(dense(loss, scores), numeric, rtol=0.0, atol=1e-3)
         checked += 1
     assert checked >= 5
+
+
+def test_tree_loss_rows_follow_first_pair_order():
+    # Rows come in the order their (span, label) pairs first appear in
+    # pred_pairs - gold_pairs, then gold_pairs - pred_pairs; SGD applies its
+    # updates in this order, so it is part of the trained bytes.
+    rng = np.random.default_rng(5)
+    ct = to_char_tree(parse_bracketed("(IP (NP (NN 中国)) (VP (VV 发展) (NN 经济)))")[0])
+    vocab = build_vocab([ct])
+    n = ct.span[1]
+    gold_pairs = {(i, j, vocab.index[lab])
+                  for (i, j), lab in gold_span_labels(ct).entries.items()}
+    m = 1.0 / len(gold_pairs)
+    shared_rows = checked = 0
+    for _ in range(30):
+        scores = random_scores(rng, n, len(vocab))
+        loss = tree_loss(scores, ct, vocab)
+        if loss.value <= 0.0:
+            continue
+        aug = scores.copy()
+        aug.values += m
+        for (i, j, l) in gold_pairs:
+            aug.values[span_row(n, i, j), l] = scores.values[span_row(n, i, j), l]
+        pred, _ = cky_decode(aug, vocab)
+        pred_pairs = {(i, j, vocab.index[lab])
+                      for (i, j), lab in gold_span_labels(pred).entries.items()}
+        expected = {}
+        for pairs, sign in ((pred_pairs - gold_pairs, 1.0),
+                            (gold_pairs - pred_pairs, -1.0)):
+            for i, j, l in pairs:
+                expected.setdefault(span_row(n, i, j), {})[l] = sign
+        assert loss.rows.tolist() == list(expected)
+        for k, signs in zip(loss.rows.tolist(), loss.grad):
+            assert {l: float(signs[l]) for l in np.flatnonzero(signs)} == expected[k]
+        assert loss.value == (tree_score(scores, vocab, pred)
+                              + m * len(pred_pairs - gold_pairs)
+                              - tree_score(scores, vocab, ct))
+        shared_rows += sum(len(signs) > 1 for signs in expected.values())
+        checked += 1
+    assert checked >= 10 and shared_rows > 0
 
 
 def test_tree_loss_step_decreases_loss():
@@ -189,7 +272,7 @@ def test_tree_loss_step_decreases_loss():
         loss = tree_loss(scores, ct, VOCAB)
         if loss.value <= 0.0:
             continue
-        stepped = apply_gradient(scores, loss.score_gradient, 0.05)
+        stepped = apply_gradient(scores, loss, 0.05)
         assert tree_loss(stepped, ct, VOCAB).value < loss.value
 
 
@@ -198,7 +281,7 @@ def test_label_loss_step_decreases_loss():
     ct, gold = gold_word()
     scores = random_scores(rng, 3)
     loss = label_loss(scores, gold, VOCAB)
-    stepped = apply_gradient(scores, loss.score_gradient, 0.1)
+    stepped = apply_gradient(scores, loss, 0.1)
     assert label_loss(stepped, gold, VOCAB).value < loss.value
 
 

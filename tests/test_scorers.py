@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from charspan.scorers import LinearScorer, MLPHead, mlp_backward
+from charspan import scorers
+from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import SpanRepresentation, span_representation
 
-from fdcheck import finite_difference, relative_error
+from fdcheck import dense_gradients, finite_difference, relative_error
 
 DIM = 8
 LABELS = 3
@@ -15,6 +16,12 @@ HIDDEN = 4
 
 def rep_of(ids):
     return SpanRepresentation(np.asarray(ids, dtype=np.int64), DIM)
+
+
+def mlp_gradients(head, rep, upstream, cache=None):
+    # one span's gradients through the sentence-level backward
+    grad = head.backward(rep, np.array([0]), np.asarray(upstream)[None], cache)
+    return dense_gradients(grad, {n: p.shape for n, p in head.params().items()})
 
 
 def full_table(rng):
@@ -52,30 +59,75 @@ def test_linear_table_rejects_bad_keys():
 def test_linear_gradient_matches_finite_difference():
     rng = np.random.default_rng(1)
     scorer = full_table(rng)
-    rep = rep_of([0, 3, 3, 7])
+    # two spans, one with a missing feature; the loss reaches the second
+    rep = rep_of([[0, 3, 3, 7], [1, 2, -1, 5]])
     upstream = rng.normal(size=LABELS)
 
     def objective():
-        return float(scorer.score(rep) @ upstream)
+        return float(scorer.score(rep)[1] @ upstream)
 
     numeric = finite_difference(objective, scorer.rows)
-    ids, rows = scorer.backward(rep, upstream)["W"]
-    analytic = np.zeros_like(scorer.rows)
-    np.add.at(analytic, np.searchsorted(scorer.keys, ids), rows)
+    # the full table's keys are 0..DIM-1, so ids index its rows directly
+    grad = scorer.backward(rep, np.array([1]), upstream[None])
+    analytic = dense_gradients(grad, {"W": scorer.rows.shape})["W"]
     assert relative_error(analytic, numeric) < 1e-7
 
 
 def test_linear_sgd_step_batch_mean():
     scorer = LinearScorer(DIM, LABELS)
-    rep = rep_of([2])
-    upstream = np.array([1.0, 0.0, 0.0])
-    grads = [scorer.backward(rep, upstream), scorer.backward(rep, upstream)]
+    rep = rep_of([[2]])
+    upstream = np.array([[1.0, 0.0, 0.0]])
+    grads = [scorer.backward(rep, np.array([0]), upstream),
+             scorer.backward(rep, np.array([0]), upstream)]
     scorer.sgd_step(grads, lr=0.5, count=4)
     # id 2 got a row; two identical gradients averaged over a batch of 4
     assert scorer.keys.tolist() == [2]
     assert scorer.rows[0, 0] == pytest.approx(-0.5 * 2 / 4)
     assert scorer.rows[0, 1] == 0.0
-    assert np.array_equal(scorer.score(rep), scorer.rows[0])
+    assert np.array_equal(scorer.score(rep), scorer.rows[:1])
+
+
+def test_linear_sgd_step_lands_updates_span_by_span():
+    # Each weight's rounding depends on the order its updates land in:
+    # sentence by sentence, then span by span, then feature by feature.
+    rng = np.random.default_rng(3)
+    scorer = LinearScorer(DIM, LABELS, keys=np.arange(4),
+                          rows=rng.normal(size=(4, LABELS)))
+    sentences = []
+    for spans in (6, 300, 5):  # 300 spans: more ids than one np.subtract.at takes
+        ids = rng.integers(0, 4, size=(spans, 8))  # 4 ids: every row collides
+        ids[rng.random(ids.shape) < 0.2] = -1
+        rows = rng.permutation(spans)[:spans - 2]
+        grad = (rng.normal(size=(len(rows), LABELS))
+                * 10.0 ** rng.integers(-8, 8, size=(len(rows), 1)))
+        sentences.append((rep_of(ids), rows, grad))
+    scale = 0.3 / 5
+    assert (sentences[1][0].ids >= 0).sum() > scorers._UPDATE_ROWS
+    expected = scorer.rows.copy()
+    for rep, rows, grad in sentences:
+        for k, g in zip(rows, grad):
+            for fid in rep.ids[k][rep.ids[k] >= 0]:
+                expected[fid] -= scale * g
+    reordered = scorer.rows.copy()
+    for rep, rows, grad in reversed(sentences):
+        for k, g in zip(rows, grad):
+            for fid in rep.ids[k][rep.ids[k] >= 0]:
+                reordered[fid] -= scale * g
+    assert not np.array_equal(expected, reordered)  # the order shows in the bits
+    table = scorer._table
+    scorer.sgd_step([scorer.backward(*s) for s in sentences], lr=0.3, count=5)
+    assert np.array_equal(scorer.rows, expected)
+    assert scorer._table is table  # no id missed, so no new table
+
+
+def test_linear_sgd_step_registers_only_missing_ids():
+    scorer = LinearScorer(DIM, LABELS, keys=[1, 3], rows=[[1.0, 0, 0], [0, 2.0, 0]])
+    grad = scorer.backward(rep_of([[3, 6, -1], [1, 1, 0]]), np.array([0, 1]),
+                           np.ones((2, LABELS)))
+    scorer.sgd_step([grad], lr=1.0)
+    assert scorer.keys.tolist() == [0, 1, 3, 6]
+    assert np.array_equal(scorer.rows, [[-1, -1, -1], [-1, -2, -2], [-1, 1, -1],
+                                        [-1, -1, -1]])
 
 
 def test_linear_register_keeps_rows():
@@ -104,42 +156,38 @@ def test_mlp_gradients_match_finite_difference(seed):
     rng = np.random.default_rng(seed)
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0,
                    rng=np.random.default_rng(seed + 100))
-    rep = rep_of(rng.integers(0, DIM, size=4))
+    rep = rep_of([rng.integers(0, DIM, size=4)])
     upstream = rng.normal(size=LABELS)
 
     def objective():
-        return float(head.score(rep) @ upstream)
+        return float(head.score(rep)[0] @ upstream)
 
-    grads = mlp_backward(head, rep, upstream)
+    grads = mlp_gradients(head, rep, upstream)
     for name, param in head.params().items():
         numeric = finite_difference(objective, param)
-        g = grads[name]
-        if name == "W1":
-            analytic = np.zeros_like(param)
-            np.add.at(analytic, g[0], g[1])
-        else:
-            analytic = g
-        assert relative_error(analytic, numeric) < 1e-6, name
+        assert relative_error(grads[name], numeric) < 1e-6, name
 
 
 def test_mlp_b2_gradient_is_upstream():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
-    upstream = np.array([0.5, -1.5, 2.0])
-    grads = mlp_backward(head, rep_of([1]), upstream)
-    assert np.array_equal(grads["b2"], upstream)
-    assert grads["b2"] is not upstream
+    upstream = np.array([[0.5, -1.5, 2.0]])
+    grad = head.backward(rep_of([[1]]), np.array([0]), upstream)
+    assert np.array_equal(dense_gradients(grad, {n: p.shape for n, p in
+                                                 head.params().items()})["b2"],
+                          upstream[0])
+    assert not np.shares_memory(grad.grad, upstream)
 
 
 def test_mlp_dropout_mask_used_in_backward():
     rng = np.random.default_rng(7)
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.5,
                    rng=np.random.default_rng(8))
-    rep = rep_of([0, 2, 4])
+    rep = rep_of([[0, 2, 4]])
     out, cache = head.score_train(rep, rng)
     assert cache["keep"] is not None
-    dropped = cache["keep"] == 0.0
+    dropped = cache["keep"][0] == 0.0
     assert dropped.any()  # hidden=4 at p=0.5; seed 7 drops at least one unit
-    grads = mlp_backward(head, rep, np.ones(LABELS), cache)
+    grads = mlp_gradients(head, rep, np.ones(LABELS), cache)
     # a dropped hidden unit contributes nothing to W1's gradient
     assert not grads["b1"][dropped].any()
     # and W2 rows for dropped units are zero since h was zeroed there
@@ -157,15 +205,21 @@ def test_mlp_train_mode_matches_inference_without_dropout():
 def test_mlp_rejects_nonfinite_upstream():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        mlp_backward(head, rep_of([0]), np.array([np.nan, 0.0, 0.0]))
+        head.backward(rep_of([[0]]), np.array([0]), np.array([[np.nan, 0.0, 0.0]]))
+
+
+def test_linear_rejects_nonfinite_upstream():
+    scorer = LinearScorer(DIM, LABELS)
+    with pytest.raises(ValueError, match="non-finite"):
+        scorer.backward(rep_of([[0]]), np.array([0]), np.array([[0.0, np.inf, 0.0]]))
 
 
 def test_mlp_sgd_step_moves_all_params():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0,
                    rng=np.random.default_rng(5))
     before = {k: v.copy() for k, v in head.params().items()}
-    rep = rep_of([1, 4])
-    grads = [head.backward(rep, np.ones(LABELS))]
+    rep = rep_of([[1, 4]])
+    grads = [head.backward(rep, np.array([0]), np.ones((1, LABELS)))]
     head.sgd_step(grads, lr=0.1)
     after = head.params()
     for name in ("W2", "b2", "b1"):

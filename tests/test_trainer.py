@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charspan.scoring import score_spans
+from charspan.chartree import to_char_tree
+from charspan.scoring import build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
                               LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
@@ -182,6 +183,30 @@ def test_loading_linear_checkpoint_builds_no_dense_matrix(trained, tmp_path):
     # one float64 per feature id would already take 8 * feature_dim bytes
     assert peak < 8 * LINEAR_FEATURE_DIM
     assert len(scorer.keys) < LINEAR_FEATURE_DIM // 100
+
+
+def test_a_batch_holds_one_gradient_per_sentence():
+    # Batch-mean SGD scores every sentence of a batch before the step, so a
+    # batch must keep its sentences' (S, L) score gradients until then.  It
+    # must keep nothing bigger: no per-span or per-feature expansion of them
+    # for the whole batch.  So ten sentences in one batch may peak above ten
+    # batches of one by less than those ten gradients.
+    corpus = synthesize_corpus(10, seed=3, median_chars=40.0, max_chars=48)
+    num_labels = len(build_vocab([to_char_tree(t) for t in corpus]))
+    spans = [n * (n + 1) // 2 for n in (len("".join(t.leaves())) for t in corpus)]
+    assert 35 <= np.mean([len("".join(t.leaves())) for t in corpus]) <= 45
+    peaks = {}
+    for batch_size in (1, 10):
+        config = TrainConfig(scorer="linear", batch_size=batch_size,
+                             label_loss_epochs=1, max_epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train(corpus, corpus[:2], config)
+            _, peaks[batch_size] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    gradients = sum(spans) * num_labels * 8
+    assert peaks[10] - peaks[1] < gradients
 
 
 def _stored_rows_sha256(ckpt, path):
