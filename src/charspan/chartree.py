@@ -25,7 +25,8 @@ from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
                      UNARY_JOIN, is_word_internal)
 from .treebank import SyntaxTree, TreeFormatError, parse_bracketed
 
-_BAD_CHARS = set(" \t\r\n()")
+# characters no leaf can hold: the bracketed formats split on them
+BAD_LEAF_CHARS = frozenset(" \t\r\n()")
 
 
 class CharTree:
@@ -45,7 +46,7 @@ class CharTree:
         if char is not None:
             if left is not None or right is not None:
                 raise ValueError("a leaf cannot have children")
-            if len(char) != 1 or char in _BAD_CHARS:
+            if len(char) != 1 or char in BAD_LEAF_CHARS:
                 raise ValueError(f"leaf char must be a single printable character, got {char!r}")
             span = (start, start + 1)
         else:

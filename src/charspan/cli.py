@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .chartree import (from_char_tree, load_char_trees, save_char_trees,
-                       to_char_tree)
+from .chartree import (BAD_LEAF_CHARS, from_char_tree, load_char_trees,
+                       save_char_trees, to_char_tree)
 from .decoder import DecodeConfig, cky_decode
 from .losses import MARGIN_MODES, SPAN_SETS
 from .metrics import joint_report
@@ -49,8 +49,21 @@ def _located(path: str, err: TreeFormatError) -> ValueError:
 
 
 def _read_sentences(path: str) -> list[str]:
+    """The non-blank lines of ``path``, stripped.  A line holding a
+    character no leaf can hold (a space, a tab or a parenthesis) raises
+    ValueError naming the file and the line."""
+    sentences = []
     with io.open(path, "r", encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+        for lineno, line in enumerate(f, start=1):
+            sentence = line.strip()
+            if not sentence:
+                continue
+            if not BAD_LEAF_CHARS.isdisjoint(sentence):
+                bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
+                raise ValueError(f"{path}: line {lineno}: {bad!r} cannot be a "
+                                 f"character of a sentence")
+            sentences.append(sentence)
+    return sentences
 
 
 def _map_maybe_parallel(fn, items, threads: int) -> list:

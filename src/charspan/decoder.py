@@ -1,7 +1,7 @@
 """Maximum-score binary tree over SpanScores.
 
 Scores arrive packed, one row per span in ``iter_spans`` order (the line
-order of a score file); the chart and its backtrace are indexed by (i, j).
+order of a score file); the split chart is indexed by span start and width.
 
 No grammar couples a span's label to its children's labels, so
 ``cky_decode`` runs in two steps, O(n^2 L + n^3) in total:
@@ -11,9 +11,12 @@ No grammar couples a span's label to its children's labels, so
    the scores in place; only rows whose unmasked winner is masked off are
    copied, to be scanned again.
 2. ``fill_chart``, the split DP: a CKY over those per-span scores that only
-   chooses split points, vectorized over all spans of a width.
+   chooses split points, vectorized over all spans of a width.  It returns
+   the best total and the chart of best split points, indexed by span
+   start and width.
 
-``cky_decode`` then backtraces the chart top-down.
+``cky_decode`` then backtraces the split chart top-down, reading each
+span's label from the packed argmax by its row.
 
 Tie rule everywhere: smallest label id, then smallest split k (first
 maximum wins).  Every combined score associates as
@@ -106,25 +109,25 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
     return labels, best
 
 
-def fill_chart(labels: np.ndarray, best: np.ndarray, n: int):
-    """Split DP over the masked label argmax ``apply_masks`` returns: chart
-    arrays (best_combined, best_label, best_split), each an (n+1, n+1)
-    array indexed by span (i, j).
+def fill_chart(best: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """Split DP over the best masked label scores ``apply_masks`` returns,
+    one per packed row: ``(total, split)``.
 
-    Entries off the upper triangle, and splits of length-1 spans, are 0.
-    The DP runs one width at a time over two copies of the chart,
-    ``by_start[i, l] = bc[i, i + l]`` and ``by_end[j, n - l] = bc[j - l, j]``,
-    so the left and the right parts of all splits of a width are two
-    forward slices that line up split by split.
+    ``total`` is the best tree's score.  ``split`` is in by-start layout:
+    ``split[i, l]`` is the best split point k (i < k < i + l) of span
+    (i, i + l); entries of length-1 spans, and past the sentence's end,
+    are 0.  The DP runs one width at a time over two copies of the chart
+    of subtree totals, ``by_start[i, l]`` and ``by_end[j, n - l]`` for span
+    (i, j) of width l, so the left and the right parts of all splits of a
+    width are two forward slices that line up split by split, and a
+    width's totals and splits are written as slices too.
     """
     si, sj = span_bounds(n)
-    bestlab = np.zeros((n + 1, n + 1), dtype=labels.dtype)
-    bestlab[si, sj] = labels
     by_start = np.zeros((n + 1, n + 1))
     by_start[si, sj - si] = best
     by_end = np.zeros((n + 1, n + 1))
     by_end[1:, n - 1] = by_start[:n, 1]
-    split = np.zeros((n + 1, n + 1), dtype=np.int64)
+    split = np.zeros((n, n + 1), dtype=np.intp)
     pos = np.arange(n + 1)
     for length in range(2, n + 1):
         count = n - length + 1
@@ -132,10 +135,8 @@ def fill_chart(labels: np.ndarray, best: np.ndarray, n: int):
         bk = cands.argmax(axis=1)
         by_start[:count, length] = by_end[length:, n - length] = (
             by_start[:count, length] + cands[pos[:count], bk])
-        split[pos[:count], pos[length:]] = pos[1:count + 1] + bk
-    bc = np.zeros((n + 1, n + 1))
-    bc[si, sj] = by_start[si, sj - si]
-    return bc, bestlab, split
+        split[:count, length] = pos[1:count + 1] + bk
+    return float(by_start[0, n]), split
 
 
 def cky_decode(scores: SpanScores, vocab: LabelVocab,
@@ -151,22 +152,41 @@ def cky_decode(scores: SpanScores, vocab: LabelVocab,
     n = scores.n
     if chars is not None and len(chars) != n:
         raise ValueError(f"got {len(chars)} characters for {n} score positions")
-    bc, bestlab, split = fill_chart(*apply_masks(scores, vocab, config), n)
+    labels, best = apply_masks(scores, vocab, config)
+    total, split = fill_chart(best, n)
     if chars is None:
         chars = PLACEHOLDER_CHAR * n
-    return _backtrace(vocab, bestlab, split, chars, 0, n), float(bc[0, n])
+    return _backtrace(vocab, labels, split, chars), total
 
 
-def _backtrace(vocab: LabelVocab, bestlab: np.ndarray, split: np.ndarray,
-               chars: Sequence[str], i: int, j: int) -> CharTree:
-    # Not a closure in cky_decode: a recursive closure is a reference cycle,
-    # which keeps the chart arrays alive until the cyclic collector runs.
-    label = vocab[int(bestlab[i, j])]
-    if j - i == 1:
-        return CharTree(label, char=chars[i], start=i)
-    k = int(split[i, j])
-    return CharTree(label, left=_backtrace(vocab, bestlab, split, chars, i, k),
-                    right=_backtrace(vocab, bestlab, split, chars, k, j))
+def _backtrace(vocab: LabelVocab, labels: np.ndarray, split: np.ndarray,
+               chars: Sequence[str]) -> CharTree:
+    """The tree ``fill_chart``'s ``split`` chart picks, labelled from the
+    packed ``labels``.
+
+    One walk lists the spans in pre-order; building them in reverse order
+    makes every node after its two subtrees.  Neither walk recurses, so
+    tree depth is not bounded by the recursion limit.
+    """
+    n = len(chars)
+    names = vocab.labels
+    order = []
+    stack = [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        order.append((i, j))
+        if j - i > 1:
+            k = int(split[i, j - i])
+            stack += ((k, j), (i, k))
+    built: list[CharTree] = []  # finished subtrees, the last one leftmost
+    for i, j in reversed(order):
+        label = names[labels[span_row(n, i, j)]]
+        if j - i == 1:
+            built.append(CharTree(label, char=chars[i], start=i))
+        else:
+            left = built.pop()
+            built.append(CharTree(label, left=left, right=built.pop()))
+    return built[0]
 
 
 def tree_score(scores: SpanScores, vocab: LabelVocab, tree: CharTree) -> float:

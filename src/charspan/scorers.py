@@ -6,6 +6,15 @@ per label, or an (S, 8) id matrix to an (S, L) score array in one batch.
 table keyed by hashed id; ``MLPHead`` is a two-layer perceptron with a
 rectifier and inverted dropout, so the inference path needs no rescaling.
 
+A representation of all spans of a sentence carries per-position id
+tables (``PositionIds``), and a batch forward reads its rows from those:
+one table row per position and feature, about 12n rows for n characters,
+where the id matrix would take 8 per span.  Either way every span's rows
+are added in one order, ``_gather_sum``'s: from +0.0, then L, B, E, R,
+LB, ER, then S only where the span has one (skipped, never added as a
+zero), then W.  So a sentence's batch scores every span bit for bit like
+the span alone, sign of zero included.
+
 Training goes one sentence at a time.  ``backward(rep, rows, grad, cache)``
 takes a loss's gradient for the packed score ``rows`` of one sentence and
 returns a ``SentenceGradient``; ``sgd_step`` applies a batch of them, one
@@ -19,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scoring import SpanRepresentation
+from .scoring import PositionIds, SpanRepresentation
 
 _UPDATE_ROWS = 1024  # rows per np.subtract.at in _subtract_rows
 
@@ -29,8 +38,9 @@ def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     order, starting from +0.0; ids of -1 are skipped.
 
     This is the order ``table[ids].sum(axis=0)`` adds a span's rows in when
-    the rows are at least 8 wide, so a batch scores exactly like single
-    spans.
+    the rows are at least 8 wide.  It is the per-span reference: single
+    spans and id matrices without position tables are summed here, and
+    ``_sentence_sum`` adds in the same order.
     """
     spans = np.atleast_2d(ids)
     out = np.zeros((spans.shape[0], table.shape[1]))
@@ -41,6 +51,37 @@ def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
         else:
             out[present] += table[column[present]]
     return out if ids.ndim == 2 else out[0]
+
+
+def _sentence_sum(table: np.ndarray, at: PositionIds) -> np.ndarray:
+    """Every span of a sentence, in packed row order: the ``table`` rows
+    of its features added as ``_gather_sum`` adds them.
+
+    ``at`` gives the table row of each position's features, in
+    ``PositionIds`` layout.  The spans that start at p take consecutive
+    packed rows and end at p + 1, ..., n, so each start-indexed feature
+    adds one row to the block and each end-indexed one the slice [p, n - 1]
+    of its per-position rows: no per-span gather.
+    """
+    n = at.by_start.shape[1]
+    left, begin, left_begin = table[at.by_start]
+    end, right, end_right = table[at.by_end]
+    short = table[at.by_short]  # rows past the sentence's end are never read
+    width = table[at.by_width]
+    first = left + 0.0  # the sum starts from +0.0, which makes -0.0 +0.0
+    first += begin
+    out = np.empty((n * (n + 1) // 2, table.shape[1]))
+    row = 0
+    for p in range(n):
+        block = out[row:row + n - p]
+        np.add(first[p], end[p:], out=block)
+        block += right[p:]
+        block += left_begin[p]
+        block += end_right[p:]
+        block[:4] += short[:n - p, p]  # S of widths 1-4 that fit
+        block += width[1:n - p + 1]
+        row += n - p
+    return out
 
 
 class SentenceGradient(NamedTuple):
@@ -150,7 +191,10 @@ class LinearScorer:
         self._set(np.insert(self.keys, at, new), np.insert(self._table, at, 0.0, axis=0))
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        return _gather_sum(self._table, self._positions(rep.ids))
+        if rep.positions is None:
+            return _gather_sum(self._table, self._positions(rep.ids))
+        rows = PositionIds(*map(self._positions, rep.positions))
+        return _sentence_sum(self._table, rows)
 
     def score_train(self, rep: SpanRepresentation, rng) -> tuple[np.ndarray, None]:
         # No dropout in the linear model; train scoring equals inference.
@@ -238,7 +282,9 @@ class MLPHead:
         return self.W2.shape[1]
 
     def _pre_hidden(self, rep: SpanRepresentation) -> np.ndarray:
-        return _gather_sum(self.W1, rep.ids) + self.b1
+        if rep.positions is None:
+            return _gather_sum(self.W1, rep.ids) + self.b1
+        return _sentence_sum(self.W1, rep.positions) + self.b1
 
     def _output(self, h: np.ndarray) -> np.ndarray:
         if h.ndim == 1:

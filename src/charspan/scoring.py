@@ -14,14 +14,19 @@ boundary character unigrams at i-1, i, j-1, j (with sentinel code points
 past the edges), the two boundary bigrams, the span string itself when it
 has at most 4 characters, and a span-length bucket.  Feature strings are
 hashed with keyed blake2b so ids are stable across runs and platforms.
+Each feature depends on one position or on the width alone (L, B and LB
+on the span's start, E, R and ER on its end, S on the start and a width
+of at most 4, W on the width), so a sentence's features are hashed into
+per-position tables, ``PositionIds``, which the spans' ids index.  A
+representation of all spans of a sentence keeps those tables, and the
+scorers sum every span from their per-position rows (see ``scorers``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -152,16 +157,56 @@ class SpanScores:
         return SpanScores(self.n, self.num_labels, self.values.copy(), validate=False)
 
 
-@dataclass
+class PositionIds(NamedTuple):
+    """The feature ids of one n-character sentence, by position: every
+    span's ids are entries of these tables.
+
+    ``by_start[:, p]`` holds L, B and LB of the spans that start at p,
+    ``by_end[:, p]`` E, R and ER of the spans that end at p + 1,
+    ``by_short[w - 1, p]`` S of span (p, p + w) for widths 1-4 (-1 past
+    the end of the sentence), and ``by_width[w]`` W of the spans of width
+    w (``by_width[0]`` is -1).
+    """
+
+    by_start: np.ndarray  # (3, n)
+    by_end: np.ndarray    # (3, n)
+    by_short: np.ndarray  # (4, n)
+    by_width: np.ndarray  # (n + 1,)
+
+    def span_ids(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The (S, 8) id matrix of the spans (starts[k], ends[k])."""
+        widths = ends - starts
+        ids = np.empty((len(starts), 8), dtype=np.int64)
+        ids[:, [0, 1, 4]] = self.by_start[:, starts].T
+        ids[:, [2, 3, 5]] = self.by_end[:, ends - 1].T
+        ids[:, 6] = np.where(widths <= 4,
+                             self.by_short[np.minimum(widths, 4) - 1, starts], -1)
+        ids[:, 7] = self.by_width[widths]
+        return ids
+
+
 class SpanRepresentation:
     """Hashed feature ids of one span, or an (S, 8) id matrix of S spans.
 
     Every id is < dim; in a matrix, -1 marks the missing span-string
-    feature of spans wider than 4 characters.
+    feature of spans wider than 4 characters.  A representation of all
+    spans of a sentence, in packed row order, also carries the sentence's
+    ``positions`` tables; the scorers sum its spans from those, and its id
+    matrix is only built when ``ids`` is first read.
     """
 
-    ids: np.ndarray
-    dim: int
+    def __init__(self, ids: np.ndarray | None, dim: int,
+                 positions: PositionIds | None = None):
+        self._ids = ids  # None until first read when built from positions
+        self.dim = dim
+        self.positions = positions
+
+    @property
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            n = self.positions.by_start.shape[1]
+            self._ids = self.positions.span_ids(*span_bounds(n))
+        return self._ids
 
 
 # the keyed state, made once; each feature string updates a copy of it
@@ -190,8 +235,9 @@ def span_representation(chars: Sequence[str], i, j,
     characters), then W.  With equal-length integer arrays the result is an
     (S, 8) matrix with one row per span in the same column order and -1 in
     the S column of wider spans.  The features of every position of
-    ``chars`` are hashed, each distinct string once, into per-position id
-    tables that the spans index.
+    ``chars`` are hashed, each distinct string once, into the per-position
+    id tables of ``PositionIds``; when the spans are all spans of ``chars``
+    in packed row order, the result keeps those tables.
     """
     starts = np.atleast_1d(np.asarray(i, dtype=np.int64))
     ends = np.atleast_1d(np.asarray(j, dtype=np.int64))
@@ -212,32 +258,29 @@ def span_representation(chars: Sequence[str], i, j,
             fid = memo[feature] = _feature_id(feature, dim)
         return fid
 
-    # Per-position id tables, gathered by index below.  Position p sits
-    # between padded[p] and padded[p + 1]: the characters before and at p.
+    # Position p sits between padded[p] and padded[p + 1]: the characters
+    # before and at p.
     padded = [LEFT_SENTINEL, *chars, RIGHT_SENTINEL]
     around = list(zip(padded, padded[1:]))
     by_start = np.array([(hashed("L:" + a), hashed("B:" + b), hashed("LB:" + a + b))
-                         for a, b in around[:n]], dtype=np.int64).reshape(n, 3)
+                         for a, b in around[:n]], dtype=np.int64).reshape(n, 3).T
     by_end = np.array([(hashed("E:" + a), hashed("R:" + b), hashed("ER:" + a + b))
-                       for a, b in around[1:]], dtype=np.int64).reshape(n, 3)
-    # by_short[p, w]: span (p, p + w) for widths 1-4; column 0 stays -1 and
-    # answers every wider span
-    by_short = np.full((n, 5), -1, dtype=np.int64)
+                       for a, b in around[1:]], dtype=np.int64).reshape(n, 3).T
+    by_short = np.full((4, n), -1, dtype=np.int64)
     for w in range(1, min(n, 4) + 1):
-        by_short[:n - w + 1, w] = [hashed("S:" + "".join(chars[p:p + w]))
-                                   for p in range(n - w + 1)]
+        by_short[w - 1, :n - w + 1] = [hashed("S:" + "".join(chars[p:p + w]))
+                                       for p in range(n - w + 1)]
     by_width = np.array([-1] + [hashed("W:" + _length_bucket(w))
                                 for w in range(1, n + 1)], dtype=np.int64)
-    widths = ends - starts
-    ids = np.empty((len(starts), 8), dtype=np.int64)
-    ids[:, [0, 1, 4]] = by_start[starts]
-    ids[:, [2, 3, 5]] = by_end[ends - 1]
-    ids[:, 6] = by_short[starts, np.where(widths <= 4, widths, 0)]
-    ids[:, 7] = by_width[widths]
+    positions = PositionIds(by_start, by_end, by_short, by_width)
     if np.ndim(i) == 0 and np.ndim(j) == 0:
-        row = ids[0]
+        row = positions.span_ids(starts, ends)[0]
         return SpanRepresentation(row[row >= 0], dim)
-    return SpanRepresentation(ids, dim)
+    # the spans are in range, so these rows are all rows only if every span
+    # is there, in packed row order
+    if np.array_equal(span_row(n, starts, ends), np.arange(n * (n + 1) // 2)):
+        return SpanRepresentation(None, dim, positions)
+    return SpanRepresentation(positions.span_ids(starts, ends), dim)
 
 
 def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,

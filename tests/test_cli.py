@@ -139,6 +139,24 @@ def test_parse_rejects_wrong_sentence_length(workdir, tmp_path):
     assert "characters" in r.stderr
 
 
+@pytest.mark.parametrize("bad", [" ", "\t", "(", ")"])
+def test_parse_rejects_input_line_that_cannot_be_leaves(workdir, checkpoint,
+                                                        tmp_path, bad):
+    # rejected as the input is read, before any scoring, with file and line
+    lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2][:1] + bad + lines[2][1:]
+    mangled = tmp_path / "mangled.txt"
+    mangled.write_text("\n\n".join(lines) + "\n", encoding="utf-8")  # blank lines count
+    for source in (("--checkpoint", str(checkpoint)),
+                   ("--score-file", str(workdir / "scores.txt"))):
+        r = run_cli("parse", *source, "--input", str(mangled),
+                    "--output", str(tmp_path / "out.txt"))
+        assert r.returncode == 2
+        assert r.stderr == (f"charspan: error: {mangled}: line 5: {bad!r} cannot "
+                            f"be a character of a sentence\n")
+        assert not (tmp_path / "out.txt").exists()
+
+
 def test_parse_score_file_header_claiming_too_many_spans(tmp_path):
     # 112 GiB of scores for one span line: either the allocation fails or the
     # block is truncated, and both are data errors naming the header line

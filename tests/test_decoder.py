@@ -105,6 +105,20 @@ def test_tree_score_of_a_deep_tree_needs_no_recursion():
     assert tree_score(scores, vocab, ct) == 2399.0  # one per node
 
 
+def test_backtrace_of_a_deep_tree_needs_no_recursion():
+    # the same 1200-level tree, decoded from its oracle scores; compared
+    # through its span labels, since CharTree equality itself recurses
+    chars = "".join(chr(0x4E00 + k) for k in range(1200))
+    words = " ".join(f"(NN {c})" for c in chars)
+    ct = to_char_tree(parse_bracketed(f"(IP {words})")[0])
+    vocab = build_vocab([ct])
+    assert len(vocab) <= 5
+    gold = gold_span_labels(ct)
+    decoded, total = cky_decode(oracle_scores(gold, vocab), vocab, chars=chars)
+    assert total == 2399.0
+    assert gold_span_labels(decoded).entries == gold.entries
+
+
 def test_label_tie_breaks_to_smallest_id():
     # all-zero scores: every usable label ties, every split ties
     scores = SpanScores(2, len(VOCAB))
@@ -236,12 +250,14 @@ def test_fill_chart_shapes():
     values = rng.normal(size=(n + 1, n + 1, 3))
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
     scores = SpanScores(n, len(vocab), values[np.triu_indices(n + 1, k=1)])
-    bc, bestlab, split = fill_chart(*apply_masks(scores, vocab, DecodeConfig()), n)
-    assert bc.shape == (n + 1, n + 1)
-    assert bestlab.shape == (n + 1, n + 1)
-    assert split.shape == (n + 1, n + 1)
+    labels, best = apply_masks(scores, vocab, DecodeConfig())
+    total, split = fill_chart(best, n)
+    assert labels.shape == best.shape == (n * (n + 1) // 2,)
+    assert isinstance(total, float)
+    assert split.shape == (n, n + 1)  # by start, then width
     ints = list(range(1, n))
     assert split[0, n] in ints
+    assert total == cky_decode(scores, vocab)[1]
 
 
 MASK_VOCABS = [VOCAB, LabelVocab([NULL_LABEL, "NN", "@2"]),
@@ -290,12 +306,12 @@ def test_masked_argmax_and_split_dp_do_not_copy_the_scores(synthetic_corpus):
     ct = max(cts, key=lambda c: c.span[1])
     scores = oracle_scores(gold_span_labels(ct), vocab)
     config = DecodeConfig()
-    fill_chart(*apply_masks(scores, vocab, config), scores.n)  # warm caches
+    fill_chart(apply_masks(scores, vocab, config)[1], scores.n)  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fill_chart(*apply_masks(scores, vocab, config), scores.n)
+        fill_chart(apply_masks(scores, vocab, config)[1], scores.n)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -8,7 +8,8 @@ import pytest
 
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
-from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
+from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores,
+                              build_vocab, iter_spans,
                               oracle_scores, read_score_file, score_spans,
                               span_bounds, span_representation, span_row,
                               write_scores)
@@ -187,9 +188,16 @@ def test_score_spans_equals_per_span_scores():
                                    rows=rows), vocab))
         cases.append((MLPHead(dim, labels, hidden=16, dropout=0.0,
                               rng=np.random.default_rng(labels)), vocab))
-    for n in range(1, 41):
+    for n in [*range(1, 41), 57, 120, 130]:
         chars = "".join(rng.choice(list("好中国人")) for _ in range(n))
-        reps = {ij: span_representation(chars, *ij, dim) for ij in iter_spans(n)}
+        if n <= 40:
+            reps = {ij: span_representation(chars, *ij, dim) for ij in iter_spans(n)}
+        else:
+            # the rows of the id matrix are the single spans' ids (see the
+            # test above), and hashing the sentence once per span is slow
+            ids = span_representation(chars, *span_bounds(n), dim).ids
+            reps = {ij: SpanRepresentation(row[row >= 0], dim)
+                    for ij, row in zip(iter_spans(n), ids)}
         for scorer, vocab in cases:
             values = score_spans(scorer, chars, vocab).values
             for (i, j), rep in reps.items():
