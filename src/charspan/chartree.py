@@ -69,14 +69,27 @@ class CharTree:
         """The characters the tree covers, left to right."""
         if self.char is not None:
             return self.char
-        return self.left.sentence() + self.right.sentence()
+        chars = []
+        stack = [self]  # pre-order, left subtree first
+        while stack:
+            ct = stack.pop()
+            if ct.char is not None:
+                chars.append(ct.char)
+            else:
+                stack += (ct.right, ct.left)
+        return "".join(chars)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CharTree):
             return NotImplemented
-        return (self.label == other.label and self.char == other.char
-                and self.span == other.span and self.left == other.left
-                and self.right == other.right)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or a.char != b.char or a.span != b.span:
+                return False
+            if a.char is None:
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
 
     def __hash__(self) -> int:
         return hash((self.label, self.char, self.span))
@@ -248,34 +261,49 @@ def from_char_tree(char_tree: CharTree) -> tuple[SyntaxTree, WordSegmentation]:
 
 
 def serialize_char_tree(ct: CharTree) -> str:
-    label = NULL_TOKEN if ct.label == NULL_LABEL else ct.label
-    if ct.char is not None:
-        return f"({label} {ct.char})"
-    return f"({label} {serialize_char_tree(ct.left)} {serialize_char_tree(ct.right)})"
+    out = []
+    stack: list = [ct]  # nodes and the text that closes them, in output order
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        label = NULL_TOKEN if item.label == NULL_LABEL else item.label
+        if item.char is not None:
+            out.append(f"({label} {item.char})")
+        else:
+            out.append(f"({label} ")
+            stack += (")", item.right, " ", item.left)
+    return "".join(out)
 
 
-def _char_tree_of(tree: SyntaxTree, start: int) -> tuple[CharTree, int]:
-    label = NULL_LABEL if tree.label == NULL_TOKEN else tree.label
-    if tree.is_preterminal:
-        ch = tree.children[0].token
-        if len(ch) != 1:
-            raise TreeFormatError(f"char-tree leaf {ch!r} is not a single character")
-        return CharTree(label, char=ch, start=start), start + 1
-    if len(tree.children) != 2:
-        raise TreeFormatError(
-            f"char trees are strictly binary, found {len(tree.children)} children "
-            f"under {tree.label!r}")
-    left, pos = _char_tree_of(tree.children[0], start)
-    right, pos = _char_tree_of(tree.children[1], pos)
-    return CharTree(label, left=left, right=right), pos
+def _char_tree_of(tree: SyntaxTree) -> CharTree:
+    built: list[CharTree] = []  # finished subtrees, left to right
+    start = 0
+    stack = [(tree, False)]  # pre-order, left subtree first; True: children built
+    while stack:
+        node, children_built = stack.pop()
+        label = NULL_LABEL if node.label == NULL_TOKEN else node.label
+        if children_built:
+            right = built.pop()
+            built.append(CharTree(label, left=built.pop(), right=right))
+        elif node.is_preterminal:
+            ch = node.children[0].token
+            if len(ch) != 1:
+                raise TreeFormatError(f"char-tree leaf {ch!r} is not a single character")
+            built.append(CharTree(label, char=ch, start=start))
+            start += 1
+        elif len(node.children) != 2:
+            raise TreeFormatError(
+                f"char trees are strictly binary, found {len(node.children)} children "
+                f"under {node.label!r}")
+        else:
+            stack += ((node, True), (node.children[1], False), (node.children[0], False))
+    return built[0]
 
 
 def parse_char_trees(text: str) -> list[CharTree]:
-    out = []
-    for tree in parse_bracketed(text):
-        ct, _ = _char_tree_of(tree, 0)
-        out.append(ct)
-    return out
+    return [_char_tree_of(tree) for tree in parse_bracketed(text)]
 
 
 def load_char_trees(path: str | os.PathLike) -> list[CharTree]:

@@ -136,7 +136,9 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
             j += 1
         return text[i:j], j
 
-    def parse_node(i: int, top: bool) -> tuple[SyntaxTree, int]:
+    def open_node(i: int, top: bool) -> tuple[int, str, int]:
+        """Read the '(' at ``i`` and the label after it: the node's offset,
+        its label and where its body starts."""
         open_pos = i
         i = skip_ws(i + 1)
         if i >= n:
@@ -147,10 +149,15 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
             # An unlabeled wrapper is only legal around a whole tree.
             if not top:
                 raise TreeFormatError("internal node with empty label", open_pos)
-            label = "TOP"
-        else:
-            label, i = read_atom(i)
-            i = skip_ws(i)
+            return open_pos, "TOP", i
+        label, i = read_atom(i)
+        return open_pos, label, skip_ws(i)
+
+    def parse_tree(i: int) -> tuple[SyntaxTree, int]:
+        # the open node's offset, label, children and token are locals; its
+        # open ancestors wait on a stack, so depth is not bounded by recursion
+        ancestors: list[tuple[int, str, list[SyntaxTree]]] = []
+        open_pos, label, i = open_node(i, True)
         children: list[SyntaxTree] = []
         token: str | None = None
         while True:
@@ -159,12 +166,25 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
             ch = text[i]
             if ch == ")":
                 i += 1
-                break
-            if ch == "(":
+                if token is not None:
+                    node = SyntaxTree(label, [SyntaxTree(token=token)])
+                elif not children:
+                    raise TreeFormatError("node has no token and no subtrees", open_pos)
+                else:
+                    node = SyntaxTree(label, children)
+                if not ancestors:
+                    return node, i
+                # a node with a subtree has no token
+                open_pos, label, children = ancestors.pop()
+                token = None
+                children.append(node)
+            elif ch == "(":
                 if token is not None:
                     raise TreeFormatError("node mixes a token with subtrees", i)
-                child, i = parse_node(i, False)
-                children.append(child)
+                ancestors.append((open_pos, label, children))
+                open_pos, label, i = open_node(i, False)
+                children = []
+                continue
             else:
                 atom_pos = i
                 atom, i = read_atom(i)
@@ -174,11 +194,6 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
                     raise TreeFormatError("node mixes a token with subtrees", atom_pos)
                 token = atom
             i = skip_ws(i)
-        if token is not None:
-            return SyntaxTree(label, [SyntaxTree(token=token)]), i
-        if not children:
-            raise TreeFormatError("node has no token and no subtrees", open_pos)
-        return SyntaxTree(label, children), i
 
     trees: list[SyntaxTree] = []
     i = 0
@@ -188,7 +203,7 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
             break
         if text[i] != "(":
             raise TreeFormatError(f"expected '(', found {text[i]!r}", i)
-        tree, i = parse_node(i, True)
+        tree, i = parse_tree(i)
         trees.append(tree)
     return Corpus(trees, source_name)
 

@@ -288,3 +288,19 @@ def test_char_tree_constructor_validation():
         CharTree("A", char="ab")
     with pytest.raises(ValueError):
         CharTree("A")  # internal node with no children
+
+
+def test_char_tree_equality_compares_every_node():
+    text = "(IP (NP (NN+@1 中) (@1 国)) (VP (VV+@1 好) (NULL (@1 的) (@1 人))))"
+    [ct] = parse_char_trees(text)
+    assert ct == parse_char_trees(text)[0]
+    assert ct != 1 and ct.__eq__("x") is NotImplemented
+    # one change anywhere, on either side and at any depth, breaks equality
+    for changed in ("(IP (NP (NN+@1 中) (@1 国)) (VP (VV+@1 好) (NULL (@1 的) (@2 人))))",
+                    "(IP (NP (NN+@1 中) (@1 国)) (VP (VV+@1 好) (NULL (@1 的) (@1 们))))",
+                    "(IP (NP (NN+@1 中) (@2 国)) (VP (VV+@1 好) (NULL (@1 的) (@1 人))))",
+                    "(IP (NP (NN+@1 中) (@1 国)) (NULL (VV+@1 好) (NULL (@1 的) (@1 人))))",
+                    "(IP (NP (NN+@1 中) (@1 国)) (VP (NULL (VV+@1 好) (@1 的)) (@1 人)))",
+                    "(TOP (NP (NN+@1 中) (@1 国)) (VP (VV+@1 好) (NULL (@1 的) (@1 人))))"):
+        [other] = parse_char_trees(changed)
+        assert ct != other and other != ct

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charspan.chartree import (gold_span_labels, serialize_char_tree,
-                               to_char_tree)
+from charspan.chartree import (gold_span_labels, parse_char_trees,
+                               serialize_char_tree, to_char_tree)
 from charspan.decoder import (DecodeConfig, PLACEHOLDER_CHAR, apply_masks,
                               available_backends, brute_force_decode,
                               cky_decode, fill_chart, tree_score,
@@ -106,8 +106,8 @@ def test_tree_score_of_a_deep_tree_needs_no_recursion():
 
 
 def test_backtrace_of_a_deep_tree_needs_no_recursion():
-    # the same 1200-level tree, decoded from its oracle scores; compared
-    # through its span labels, since CharTree equality itself recurses
+    # the same 1200-level tree, decoded from its oracle scores, then
+    # compared, read back and serialized
     chars = "".join(chr(0x4E00 + k) for k in range(1200))
     words = " ".join(f"(NN {c})" for c in chars)
     ct = to_char_tree(parse_bracketed(f"(IP {words})")[0])
@@ -117,6 +117,11 @@ def test_backtrace_of_a_deep_tree_needs_no_recursion():
     decoded, total = cky_decode(oracle_scores(gold, vocab), vocab, chars=chars)
     assert total == 2399.0
     assert gold_span_labels(decoded).entries == gold.entries
+    assert decoded == ct
+    assert decoded.sentence() == chars
+    text = serialize_char_tree(decoded)
+    assert text.startswith("(IP (NULL (NULL ") and text.endswith(f" (NN+@1 {chars[-1]}))")
+    assert parse_char_trees(text) == [ct]
 
 
 def test_label_tie_breaks_to_smallest_id():

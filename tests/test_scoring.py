@@ -2,10 +2,13 @@
 
 import gc
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charspan import scoring
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
 from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores,
@@ -394,3 +397,177 @@ def test_write_scores_refuses_nonfinite():
     scores.values[span_row(1, 0, 1), 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         write_scores(scores, vocab, io.StringIO())
+
+
+def _per_line_read(text):
+    """The score of every span line of the one block in ``text``, read line
+    by line with str.split and float(), or the ValueError message of the
+    first bad line: the reader's reference."""
+    lines = enumerate(io.StringIO(text), start=1)
+    _, header = next(lines)
+    _, _, n, num_labels = header.split()
+    n, num_labels = int(n), int(num_labels)
+    next(lines)  # "#labels"
+    values = np.zeros((n * (n + 1) // 2, num_labels))
+    for k, (i, j) in enumerate(iter_spans(n)):
+        lineno, line = next(lines)
+        parts = line.split()
+        if len(parts) != 2 + num_labels:
+            return (f"line {lineno}: expected 2 offsets and {num_labels} values, "
+                    f"found {len(parts)} fields")
+        if parts[0] != str(i) or parts[1] != str(j):
+            return f"line {lineno}: expected span ({i}, {j}), found ({parts[0]}, {parts[1]})"
+        try:
+            values[k] = [float(v) for v in parts[2:]]
+        except ValueError:
+            return f"line {lineno}: non-numeric score value"
+        if not np.isfinite(values[k]).all():
+            return f"line {lineno}: non-finite score value"
+    return values
+
+
+def _read_one_block(text, chunk_values):
+    """The values of the one block in ``text``, or the message of the
+    ValueError the reader raises, read in chunks of ``chunk_values``."""
+    with mock.patch.object(scoring, "_CHUNK_VALUES", chunk_values):
+        try:
+            [(_, scores, _)] = list(read_score_file(io.StringIO(text)))
+        except ValueError as e:
+            return str(e)
+    return scores.values
+
+
+def _assert_same_read(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.tobytes() == want.tobytes()  # bitwise: the sign of zero counts
+
+
+_ODD_VALUES = ["abc", "nan", "inf", "-inf", "1_0", "+.5", "5.", "-0.0", "0.5 #x",
+               "#x", "1e400", "1e-400", "0x10", "١", "0.5\x00"]
+_SEPARATORS = ["\t", "\xa0", "\u3000", "\x1c", "  ", " \t ", "\x0b"]
+
+
+@st.composite
+def _mutated_blocks(draw):
+    """A write_scores block of n <= 12 spans' lines at L <= 8, one span line
+    of it mutated, and a chunk size of a few lines or less than one line."""
+    n = draw(st.integers(1, 12))
+    num_labels = draw(st.integers(1, 8))
+    rows = n * (n + 1) // 2
+    # finite values of every magnitude, with zeros of both signs and subnormals
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=rows * num_labels) * 10.0 ** rng.integers(
+        -320, 300, size=rows * num_labels)
+    special = rng.random(rows * num_labels) < 0.2
+    values[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0], size=special.sum())
+    vocab = LabelVocab([NULL_LABEL] + [f"X{k}" for k in range(1, num_labels)])
+    text = _round_trip(SpanScores(n, num_labels, values.reshape(rows, num_labels),
+                                  validate=False), vocab).getvalue()
+    lines = text.split("\n")
+    k = 2 + draw(st.integers(0, rows - 1))
+    fields = lines[k].split(" ")
+    kind = draw(st.sampled_from(["drop", "add", "offset", "zero-padded offset",
+                                 "value", "comment", "separator", "none"]))
+    if kind == "comment":
+        fields.append(draw(st.sampled_from(["#x", "#", "# 1"])))
+    elif kind == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif kind == "add":
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["0.5", "x"])))
+    elif kind == "offset":
+        fields[draw(st.integers(0, 1))] = str(draw(st.integers(-1, n + 1)))
+    elif kind == "zero-padded offset":
+        at = draw(st.integers(0, 1))
+        fields[at] = "0" + fields[at]
+    elif kind == "value":
+        fields[draw(st.integers(2, len(fields) - 1))] = draw(st.sampled_from(_ODD_VALUES))
+    if kind == "separator":
+        at = draw(st.integers(0, len(fields) - 2))
+        fields[at:at + 2] = [fields[at] + draw(st.sampled_from(_SEPARATORS)) + fields[at + 1]]
+        if draw(st.booleans()):
+            fields[-1] += draw(st.sampled_from(_SEPARATORS))  # trailing
+    lines[k] = " ".join(fields)
+    chunk_values = draw(st.integers(1, 3 * num_labels))
+    return "\n".join(lines), chunk_values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_blocks())
+def test_chunked_read_equals_the_per_line_reference(case):
+    text, chunk_values = case
+    _assert_same_read(_read_one_block(text, chunk_values), _per_line_read(text))
+
+
+def _chunked_block():
+    """The lines of a block at n = 4 and L = 2, whose span (i, j) line holds
+    the values 10 i + j and -(10 i + j); read in chunks of 6 values (3
+    lines), the second chunk is file lines 6-8, spans (0, 4), (1, 2) and
+    (1, 3)."""
+    vocab = LabelVocab([NULL_LABEL, "X1"])
+    values = np.array([[10.0 * i + j, -10.0 * i - j] for i, j in iter_spans(4)])
+    return _round_trip(SpanScores(4, 2, values), vocab).getvalue().split("\n")
+
+
+def _spoil(lines, replaced):
+    """``lines`` joined, with line k (from 1) replaced by ``replaced[k]``."""
+    return "\n".join(replaced.get(k, line) for k, line in enumerate(lines, start=1))
+
+
+@pytest.mark.parametrize("lineno, line, message", [
+    (6, "0 4 4 x", "line 6: non-numeric score value"),   # first line of chunk 2
+    (8, "1 3 13 inf", "line 8: non-finite score value"),  # last line of chunk 2
+    (6, "0 5 4 -4", r"line 6: expected span \(0, 4\), found \(0, 5\)"),
+    (8, "1 3 13", "line 8: expected 2 offsets and 2 values, found 3 fields"),
+    (8, "1 3 13 -13 #x", "line 8: expected 2 offsets and 2 values, found 5 fields"),
+])
+def test_fault_at_a_chunk_edge(lineno, line, message):
+    lines = _chunked_block()
+    with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(read_score_file(io.StringIO(_spoil(lines, {lineno: line}))))
+
+
+def test_earlier_of_two_faults_in_a_chunk_wins():
+    lines = _chunked_block()
+    text = _spoil(lines, {7: "1 2 12 nan", 8: "1 3 x -13"})
+    with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
+        with pytest.raises(ValueError, match="^line 7: non-finite score value$"):
+            list(read_score_file(io.StringIO(text)))
+    text = _spoil(lines, {6: "0 4 4 x", 7: "1 9 12 -12"})
+    with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
+        with pytest.raises(ValueError, match="^line 6: non-numeric score value$"):
+            list(read_score_file(io.StringIO(text)))
+
+
+def test_truncated_chunk_reports_an_earlier_bad_line_first():
+    lines = _chunked_block()
+    cut = lines[:7]  # the header and spans up to (1, 2): chunk 2 has two lines
+    with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
+        with pytest.raises(ValueError, match="^line 1: expected 10 span lines, found 5$"):
+            list(read_score_file(io.StringIO(_spoil(cut, {}))))
+        with pytest.raises(ValueError, match="^line 6: non-numeric score value$"):
+            list(read_score_file(io.StringIO(_spoil(cut, {6: "0 4 4 x"}))))
+
+
+def test_chunks_fill_the_rows_in_order():
+    text = "\n".join(_chunked_block())
+    want = _per_line_read(text)
+    for chunk_values in (1, 2, 5, 6, 7, 19, 20, 21, 1 << 16):
+        _assert_same_read(_read_one_block(text, chunk_values), want)
+
+
+def test_loadtxt_parses_like_float():
+    # the fast path reads values with np.loadtxt; a numpy whose parser
+    # rounds differently from float() must fail here
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3, 1.0,
+               123456789012345678.0, -2.5]
+    texts = [format(v, ".17g") for v in special]
+    texts += ["-0", "+.5", "5.", "1e-400", "-1e-400", "4.9406564584124654e-324",
+              "2.4703282292062328e-324", "0.30000000000000004", "9007199254740993"]
+    got = np.loadtxt([" ".join(texts)], dtype=np.float64, comments=None, ndmin=2)
+    want = np.array([[float(t) for t in texts]])
+    assert got.tobytes() == want.tobytes()
