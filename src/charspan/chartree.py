@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
@@ -204,26 +205,45 @@ def gold_span_labels(char_tree: CharTree) -> GoldSpanMap:
 _SPLICED = ("", NULL_LABEL, SUBWORD_LABEL)
 
 
-def _pieces(ct: CharTree, out: list) -> None:
-    """Append to ``out`` the pieces ``ct`` leaves in its parent's child list."""
-    # Empty segments can only come from labels outside our own encoding;
-    # they splice out like "∅" and "@2", so recovery stays total.
-    segs = [s for s in ct.label.split(UNARY_JOIN) if s not in _SPLICED]
-    kids = [] if segs else out
-    if ct.char is not None:
-        kids.append(ct.char)
-    else:
-        _pieces(ct.left, kids)
-        _pieces(ct.right, kids)
-    if not segs:
-        return
-    for seg in reversed(segs):
-        piece = [ct.sentence()] if seg == CHAR_LABEL else _recover(seg, kids)
-        kids = [piece]
-    if type(piece) is list and out and type(out[-1]) is list:
-        out[-1].extend(piece)  # adjacent "@1" runs make one word
-    else:
-        out.append(piece)
+@lru_cache(maxsize=1024)
+def _kept_segments(label: str) -> tuple[str, ...]:
+    """The segments of a merged label that make pieces.  Empty segments
+    can only come from labels outside our own encoding; they splice out
+    like "∅" and "@2", so recovery stays total."""
+    return tuple(s for s in label.split(UNARY_JOIN) if s not in _SPLICED)
+
+
+def _pieces(char_tree: CharTree) -> list:
+    """The pieces ``char_tree`` leaves at the top level, by a post-order
+    walk: a node's children leave theirs in its own child list, or in its
+    parent's when all its labels splice out."""
+    top: list = []
+    # (node, its parent's list, its child list, its segments); the
+    # segments are None until the node is entered
+    stack: list = [(char_tree, top, None, None)]
+    while stack:
+        ct, out, kids, segs = stack.pop()
+        if segs is None:
+            segs = _kept_segments(ct.label)
+            if ct.char is None:
+                kids = [] if segs else out
+                if segs:  # made into a piece once its children are done
+                    stack.append((ct, out, kids, segs))
+                stack.append((ct.right, kids, None, None))
+                stack.append((ct.left, kids, None, None))
+                continue
+            if not segs:
+                out.append(ct.char)
+                continue
+            kids = [ct.char]
+        for seg in reversed(segs):
+            piece = [ct.sentence()] if seg == CHAR_LABEL else _recover(seg, kids)
+            kids = [piece]
+        if type(piece) is list and out and type(out[-1]) is list:
+            out[-1].extend(piece)  # adjacent "@1" runs make one word
+        else:
+            out.append(piece)
+    return top
 
 
 def _word(piece) -> SyntaxTree:
@@ -249,9 +269,7 @@ def from_char_tree(char_tree: CharTree) -> tuple[SyntaxTree, WordSegmentation]:
     Total on arbitrary input: every character lands in exactly one word and
     the returned segmentation covers [0, n) without gaps or overlaps.
     """
-    pieces: list = []
-    _pieces(char_tree, pieces)
-    tops = [_as_child(p) for p in pieces]
+    tops = [_as_child(p) for p in _pieces(char_tree)]
     tree = tops[0] if len(tops) == 1 else SyntaxTree("TOP", tops)
     return tree, WordSegmentation.from_words(tree.leaves())
 

@@ -53,21 +53,31 @@ def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return out if ids.ndim == 2 else out[0]
 
 
+def _rows_at(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``table[pos]`` with a +0.0 row wherever ``pos`` is -1; all +0.0
+    rows when ``table`` is empty."""
+    if not len(table):
+        return np.zeros(pos.shape + table.shape[1:])
+    out = table[pos]
+    out[pos < 0] = 0.0
+    return out
+
+
 def _sentence_sum(table: np.ndarray, at: PositionIds) -> np.ndarray:
     """Every span of a sentence, in packed row order: the ``table`` rows
     of its features added as ``_gather_sum`` adds them.
 
     ``at`` gives the table row of each position's features, in
-    ``PositionIds`` layout.  The spans that start at p take consecutive
-    packed rows and end at p + 1, ..., n, so each start-indexed feature
-    adds one row to the block and each end-indexed one the slice [p, n - 1]
-    of its per-position rows: no per-span gather.
+    ``PositionIds`` layout, -1 for a +0.0 row.  The spans that start at p
+    take consecutive packed rows and end at p + 1, ..., n, so each
+    start-indexed feature adds one row to the block and each end-indexed
+    one the slice [p, n - 1] of its per-position rows: no per-span gather.
     """
     n = at.by_start.shape[1]
-    left, begin, left_begin = table[at.by_start]
-    end, right, end_right = table[at.by_end]
-    short = table[at.by_short]  # rows past the sentence's end are never read
-    width = table[at.by_width]
+    left, begin, left_begin = _rows_at(table, at.by_start)
+    end, right, end_right = _rows_at(table, at.by_end)
+    short = _rows_at(table, at.by_short)  # rows past the sentence's end are never read
+    width = _rows_at(table, at.by_width)
     first = left + 0.0  # the sum starts from +0.0, which makes -0.0 +0.0
     first += begin
     out = np.empty((n * (n + 1) // 2, table.shape[1]))
@@ -138,8 +148,10 @@ class LinearScorer:
     """score(rep) = sum of weight rows at the span's feature ids.
 
     The weights of the (dim, L) matrix are held as sorted hashed ``keys``
-    and their ``rows``; an id that is not a key has an all-zero row.
-    Collisions are those of the dense matrix, so scores are too.
+    and their (K, L) ``rows``; an id that is not a key has an all-zero row.
+    Collisions are those of the dense matrix, so scores are too.  Given
+    ``rows`` of float64 in C order are adopted, not copied: the scorer and
+    the caller share them, and ``sgd_step`` writes to them in place.
     """
 
     def __init__(self, dim: int, num_labels: int, keys=None, rows=None):
@@ -147,54 +159,46 @@ class LinearScorer:
             raise ValueError("feature dimension must be positive")
         keys = np.asarray([] if keys is None else keys, dtype=np.int64)
         rows = (np.zeros((len(keys), num_labels)) if rows is None
-                else np.asarray(rows, dtype=np.float64))
+                else np.ascontiguousarray(rows, dtype=np.float64))
         if keys.ndim != 1 or rows.shape != (len(keys), num_labels):
             raise ValueError(f"expected {num_labels}-wide rows for {len(keys)} keys, "
                              f"got shape {rows.shape}")
         check_keys(keys, dim)
         self.dim = dim
-        table = np.zeros((len(keys) + 1, num_labels))
-        table[:-1] = rows
-        self._set(keys, table)
-
-    def _set(self, keys: np.ndarray, table: np.ndarray) -> None:
-        # the trailing zero row of ``table`` answers every id that is not a
-        # key; ``rows`` is a view, so updates to it land in the table
-        self._table = table
         self.keys = keys
-        self.rows = table[:-1]
+        self.rows = rows
 
     @property
     def num_labels(self) -> int:
-        return self._table.shape[1]
+        return self.rows.shape[1]
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Table row of each id; ids that are not keys get the zero row,
-        and -1 stays -1."""
+        """Row of each id; -1 for an id that is not a key, and for -1."""
         pos = np.searchsorted(self.keys, ids)
         hit = pos < len(self.keys)
         hit[hit] = self.keys[pos[hit]] == ids[hit]
-        return np.where(hit, pos, np.where(ids < 0, -1, len(self.keys)))
+        return np.where(hit, pos, -1)
 
     def register(self, ids) -> None:
         """Give every id in ``ids`` (-1 aside) a row, all zero if it is new."""
         ids = np.sort(np.asarray(ids, dtype=np.int64).ravel())
         ids = ids[ids >= 0]
         # the first of each run of equal ids that is not a key yet
-        new = ids[(np.diff(ids, prepend=-1) > 0) & (self._positions(ids) == len(self.keys))]
+        new = ids[(np.diff(ids, prepend=-1) > 0) & (self._positions(ids) < 0)]
         if not new.size:
             return
         if new[-1] >= self.dim:
             raise ValueError(f"feature id {new[-1]} is not below {self.dim}")
         at = np.searchsorted(self.keys, new)
-        # the new table, with its zero rows in place, in one allocation
-        self._set(np.insert(self.keys, at, new), np.insert(self._table, at, 0.0, axis=0))
+        # the new rows, with their zero rows in place, in one allocation
+        self.keys = np.insert(self.keys, at, new)
+        self.rows = np.insert(self.rows, at, 0.0, axis=0)
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
         if rep.positions is None:
-            return _gather_sum(self._table, self._positions(rep.ids))
+            return _gather_sum(self.rows, self._positions(rep.ids))
         rows = PositionIds(*map(self._positions, rep.positions))
-        return _sentence_sum(self._table, rows)
+        return _sentence_sum(self.rows, rows)
 
     def score_train(self, rep: SpanRepresentation, rng) -> tuple[np.ndarray, None]:
         # No dropout in the linear model; train scoring equals inference.
@@ -225,7 +229,7 @@ class LinearScorer:
     def _subtract(self, ids: np.ndarray, updates: np.ndarray) -> None:
         # one sentence's expanded updates live only during this call
         pos = self._positions(ids)
-        new = pos == len(self.keys)
+        new = pos < 0
         if new.any():
             self.register(ids[new])
             pos = np.searchsorted(self.keys, ids)
@@ -236,8 +240,10 @@ class MLPHead:
     """Two-layer perceptron head: relu(x W1 + b1) W2 + b2.
 
     ``dropout`` is applied to the hidden layer only in ``score_train``,
-    with inverted scaling.  The weights are drawn from ``rng``, or copied
-    from ``params`` (W1, b1, W2, b2 of the ``param_shapes`` shapes).
+    with inverted scaling.  The weights are drawn from ``rng``, or taken
+    from ``params`` (W1, b1, W2, b2 of the ``param_shapes`` shapes): arrays
+    of float64 in C order are adopted, not copied, so the head and the
+    caller share them and ``sgd_step`` writes to them in place.
     """
 
     def __init__(self, dim: int, num_labels: int, hidden: int = 250,
@@ -254,7 +260,7 @@ class MLPHead:
                       "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=shapes["W2"]),
                       "b2": np.zeros(num_labels)}
         else:
-            params = {name: np.array(params[name], dtype=np.float64)
+            params = {name: np.ascontiguousarray(params[name], dtype=np.float64)
                       for name in shapes}
         for name, shape in shapes.items():
             if params[name].shape != shape:

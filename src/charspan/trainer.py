@@ -137,6 +137,10 @@ class Checkpoint:
         return LabelVocab(self.labels)
 
     def build_scorer(self):
+        """The scorer of these parameters.  It adopts the checkpoint's
+        arrays rather than copying them, so a process holds one copy of the
+        weights; a caller who trains the scorer and still needs the
+        checkpoint must copy ``params`` first."""
         if self.scorer_kind == "linear":
             return LinearScorer(self.feature_dim, len(self.labels),
                                 self.params["keys"], self.params["rows"])
@@ -170,7 +174,8 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         """Read a checkpoint; a missing array, one of the wrong shape, linear
         ``W_ids`` that are not strictly increasing integer ids below
-        ``feature_dim`` or an unknown scorer kind raises ValueError naming
+        ``feature_dim``, weights (``W_rows``, ``p_*``) that are not floats or
+        not all finite, or an unknown scorer kind raises ValueError naming
         ``path``."""
         with np.load(path, allow_pickle=False) as data:
             def array(name: str, shape: tuple) -> np.ndarray:
@@ -182,6 +187,19 @@ class Checkpoint:
                         want not in (None, got) for want, got in zip(shape, value.shape)):
                     raise ValueError(f"{path}: checkpoint array {name!r} has shape "
                                      f"{value.shape}, expected {shape}")
+                return value
+
+            def weights(name: str, shape: tuple) -> np.ndarray:
+                value = array(name, shape)
+                if not np.issubdtype(value.dtype, np.floating):
+                    raise ValueError(f"{path}: checkpoint array {name!r} has dtype "
+                                     f"{value.dtype}, expected floats")
+                # a NaN or an infinity shows in the minimum or the maximum,
+                # and neither makes a temporary array
+                if value.size and not (np.isfinite(value.min()) and np.isfinite(value.max())):
+                    at = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
+                    raise ValueError(f"{path}: checkpoint array {name!r} has the "
+                                     f"non-finite value {value[at]} at {at}")
                 return value
 
             kind = str(array("scorer_kind", ()))
@@ -199,10 +217,10 @@ class Checkpoint:
                 except ValueError as e:
                     raise ValueError(f"{path}: checkpoint array 'W_ids': {e}") from None
                 params = {"keys": keys,
-                          "rows": array("W_rows", (len(keys), len(labels)))}
+                          "rows": weights("W_rows", (len(keys), len(labels)))}
             elif kind == "mlp":
                 shapes = MLPHead.param_shapes(dim, len(labels), hidden)
-                params = {name: array("p_" + name, shape)
+                params = {name: weights("p_" + name, shape)
                           for name, shape in shapes.items()}
             else:
                 raise ValueError(f"{path}: unknown scorer kind {kind!r}")

@@ -114,6 +114,16 @@ def test_round_trip_exact(synthetic_corpus):
         assert seg.spans == segmentation_of(t).spans
 
 
+def test_round_trip_of_a_char_tree_deeper_than_the_recursion_limit():
+    # 1200 one-character words under one node binarize into a left spine
+    # 1200 nodes deep, past Python's default limit of 1000 frames
+    chars = [chr(0x4E00 + k % 500) for k in range(1200)]
+    t = tree("(TOP " + " ".join(f"(NN {c})" for c in chars) + ")")
+    back, seg = from_char_tree(to_char_tree(t))
+    assert back == t
+    assert seg.words == chars
+
+
 def test_char_tree_labels_are_well_formed(synthetic_corpus):
     def walk(ct):
         if ct.is_leaf:

@@ -7,7 +7,6 @@ import io
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from charspan.scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import Checkpoint
 from charspan.treebank import load_corpus, save_corpus
+from memcheck import traced_peak
 
 
 def run_cli(*args):
@@ -231,13 +231,8 @@ def test_parse_score_file_memory_stays_at_one_block(tmp_path):
     def peak(repeats: int) -> int:
         path = tmp_path / f"scores{repeats}.txt"
         path.write_text(buf.getvalue() * repeats, encoding="utf-8")
-        tracemalloc.start()
-        try:
-            code = cli.main(["parse", "--score-file", str(path),
-                             "--output", str(tmp_path / "trees.txt")])
-            peak_bytes = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak_bytes = traced_peak(lambda: cli.main(
+            ["parse", "--score-file", str(path), "--output", str(tmp_path / "trees.txt")]))
         assert code == 0
         return peak_bytes
 
@@ -386,6 +381,65 @@ def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
     assert r.returncode == 2
     assert re.search(f"charspan: error: {re.escape(str(bad))}: .*{message}", r.stderr), r.stderr
     assert "Traceback" not in r.stderr
+
+
+def _nan_at_first(array):
+    array = array.copy()
+    array.flat[0] = np.nan
+    return array
+
+
+@pytest.mark.parametrize("kind, name, bad, message", [
+    ("linear", "W_rows", lambda rows: np.full(rows.shape, "a"),
+     "'W_rows' has dtype <U1, expected floats"),
+    ("linear", "W_rows", _nan_at_first,
+     r"'W_rows' has the non-finite value nan at \(0, 0\)"),
+    ("mlp", "p_W1", lambda w1: w1.astype(np.int64),
+     "'p_W1' has dtype int64, expected floats"),
+    ("mlp", "p_b2", lambda b2: np.where(np.arange(len(b2)) == 2, -np.inf, b2),
+     r"'p_b2' has the non-finite value -inf at \(2,\)"),
+], ids=["linear-string-W_rows", "linear-nan-W_rows", "mlp-integer-W1",
+        "mlp-infinite-b2"])
+def test_parse_rejects_checkpoint_weights_that_are_not_finite_floats(
+        workdir, checkpoint, mlp_checkpoint, tmp_path, kind, name, bad, message):
+    with np.load(mlp_checkpoint if kind == "mlp" else checkpoint) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[name] = bad(arrays[name])
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    r = run_cli("parse", "--checkpoint", str(path), "--input",
+                str(workdir / "sents.txt"), "--output", str(tmp_path / "o.txt"))
+    assert r.returncode == 2
+    assert re.search(f"charspan: error: {re.escape(str(path))}: .*{message}", r.stderr), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_parse_checkpoint_holds_one_copy_of_the_weights(tmp_path, kind):
+    # The scorer adopts the arrays np.load returns, so a parse process
+    # holds the weights once: two copies would take 2x, and the scores of
+    # two short sentences add little.
+    num_labels = 32
+    labels = [NULL_LABEL, "@1", "@2"] + [f"X{k}" for k in range(num_labels - 3)]
+    rng = np.random.default_rng(14)
+    if kind == "linear":
+        dim, hidden = 1 << 20, 250
+        keys = np.sort(rng.choice(dim, size=20_000, replace=False))
+        params = {"keys": keys, "rows": rng.normal(size=(len(keys), num_labels))}
+    else:
+        dim, hidden = 1 << 14, 32
+        params = MLPHead(dim, num_labels, hidden, rng=rng).params()
+    weights = sum(array.nbytes for array in params.values())
+    path = tmp_path / "model.npz"
+    Checkpoint(kind, params, labels, dim, hidden, 0.0, 1, 0.0, 0).save(path)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("我们今天去公园散步\n天气很好\n", encoding="utf-8")
+    args = ["parse", "--checkpoint", str(path), "--input", str(sents),
+            "--output", str(tmp_path / "trees.txt")]
+    assert cli.main(args) == 0  # first calls fill lazy caches
+    code, peak = traced_peak(lambda: cli.main(args))
+    assert code == 0
+    assert peak < 1.5 * weights, (peak, weights)
 
 
 def test_eval_report_file(workdir, tmp_path):

@@ -4,7 +4,6 @@ and masks."""
 import gc
 import hashlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from charspan.labels import NULL_LABEL, is_char_label
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
                               iter_spans, oracle_scores, span_row)
 from charspan.treebank import parse_bracketed
+from memcheck import traced_peak
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "NN+@1", "NN", "@2"])
 
@@ -312,14 +312,8 @@ def test_masked_argmax_and_split_dp_do_not_copy_the_scores(synthetic_corpus):
     scores = oracle_scores(gold_span_labels(ct), vocab)
     config = DecodeConfig()
     fill_chart(apply_masks(scores, vocab, config)[1], scores.n)  # warm caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fill_chart(apply_masks(scores, vocab, config)[1], scores.n)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: fill_chart(apply_masks(scores, vocab, config)[1],
+                                             scores.n))
     assert peak < scores.values.nbytes, (peak, scores.values.shape)
 
 

@@ -114,10 +114,10 @@ def test_linear_sgd_step_lands_updates_span_by_span():
             for fid in rep.ids[k][rep.ids[k] >= 0]:
                 reordered[fid] -= scale * g
     assert not np.array_equal(expected, reordered)  # the order shows in the bits
-    table = scorer._table
+    table = scorer.rows
     scorer.sgd_step([scorer.backward(*s) for s in sentences], lr=0.3, count=5)
     assert np.array_equal(scorer.rows, expected)
-    assert scorer._table is table  # no id missed, so no new table
+    assert scorer.rows is table  # no id missed, so no new table
 
 
 def test_linear_sgd_step_registers_only_missing_ids():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from charspan.chartree import to_char_tree
+from charspan.scorers import MLPHead
 from charspan.scoring import build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
@@ -183,6 +184,25 @@ def test_loading_linear_checkpoint_builds_no_dense_matrix(trained, tmp_path):
     # one float64 per feature id would already take 8 * feature_dim bytes
     assert peak < 8 * LINEAR_FEATURE_DIM
     assert len(scorer.keys) < LINEAR_FEATURE_DIM // 100
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_built_scorer_shares_the_loaded_weights(trained, tmp_path, kind):
+    # one resident copy of the weights: the scorer adopts the loaded arrays
+    if kind == "linear":
+        ckpt, _ = trained
+        names = ["rows"]
+    else:
+        labels = trained[0].labels
+        head = MLPHead(1 << 10, len(labels), hidden=8, rng=np.random.default_rng(1))
+        ckpt = Checkpoint("mlp", head.params(), labels, 1 << 10, 8, 0.2, 1, 0.0, 0)
+        names = ["W1", "b1", "W2", "b2"]
+    path = tmp_path / f"{kind}.npz"
+    ckpt.save(path)
+    loaded = Checkpoint.load(path)
+    scorer = loaded.build_scorer()
+    for name in names:
+        assert np.shares_memory(getattr(scorer, name), loaded.params[name]), name
 
 
 def test_a_batch_holds_one_gradient_per_sentence():
