@@ -140,38 +140,18 @@ def segmentation_of(word_tree: SyntaxTree) -> WordSegmentation:
 # word-level -> character-level
 
 
-def _encode(tree: SyntaxTree, start: int) -> tuple[CharTree, int, bool]:
-    """The char tree of ``tree`` from character ``start`` on, the offset where
-    it ends, and whether all its labels are word-internal ("@1"/"@2" only)."""
-    if tree.token is not None:
-        raise ValueError(f"word leaf {tree.token!r} has no pre-terminal parent")
-    labels = [tree.label]
-    while len(tree.children) == 1 and tree.children[0].token is None:
-        tree = tree.children[0]
-        labels.append(tree.label)
-    if tree.is_preterminal:
-        word = tree.children[0].token
-        if len(word) == 1:
-            label = UNARY_JOIN.join([*labels, CHAR_LABEL])
-            return CharTree(label, char=word, start=start), start + 1, is_word_internal(label)
-        kids = [(CharTree(CHAR_LABEL, char=c, start=start + k), True)
-                for k, c in enumerate(word)]
-        end = start + len(word)
-    else:
-        kids = []
-        end = start
-        for child in tree.children:
-            ct, end, internal = _encode(child, end)
-            kids.append((ct, internal))
-    # left-binarize: an intermediate node is "@2" while all it covers is
-    # word-internal, "∅" once it covers a finished word
+def _binarized(labels: list[str], kids: list[tuple[CharTree, bool]]) -> tuple[CharTree, bool]:
+    """The node of the unary chain ``labels`` over ``kids``, left-binarized,
+    and whether all its labels are word-internal ("@1"/"@2" only).  An
+    intermediate node is "@2" while all it covers is word-internal, "∅"
+    once it covers a finished word."""
     node, internal = kids[0]
     for kid, kid_internal in kids[1:-1]:
         internal = internal and kid_internal
         node = CharTree(SUBWORD_LABEL if internal else NULL_LABEL, left=node, right=kid)
     label = UNARY_JOIN.join(labels)
     last, last_internal = kids[-1]
-    return (CharTree(label, left=node, right=last), end,
+    return (CharTree(label, left=node, right=last),
             internal and last_internal and is_word_internal(label))
 
 
@@ -181,7 +161,42 @@ def to_char_tree(word_tree: SyntaxTree) -> CharTree:
     The fringe of the result is the character sequence of the sentence.
     Raises ValueError when a word leaf is not under a pre-terminal.
     """
-    return _encode(word_tree, 0)[0]
+    start = 0  # the next character's offset
+    # open nodes, outermost first: (the labels of their collapsed unary
+    # chain, their children, the (char tree, internal) of the finished ones)
+    stack: list[tuple[list[str], tuple, list]] = []
+    tree = word_tree
+    while True:
+        if tree.token is not None:
+            raise ValueError(f"word leaf {tree.token!r} has no pre-terminal parent")
+        labels = [tree.label]
+        while len(tree.children) == 1 and tree.children[0].token is None:
+            tree = tree.children[0]
+            labels.append(tree.label)
+        if not tree.is_preterminal:
+            stack.append((labels, tree.children, []))
+            tree = tree.children[0]
+            continue
+        word = tree.children[0].token
+        if len(word) == 1:
+            label = UNARY_JOIN.join([*labels, CHAR_LABEL])
+            done = CharTree(label, char=word, start=start), is_word_internal(label)
+        else:
+            done = _binarized(labels, [(CharTree(CHAR_LABEL, char=c, start=start + k), True)
+                                       for k, c in enumerate(word)])
+        start += len(word)
+        # hand the finished node to its parent; a parent with all its
+        # children done is finished in turn
+        while stack:
+            labels, children, kids = stack[-1]
+            kids.append(done)
+            if len(kids) < len(children):
+                tree = children[len(kids)]
+                break
+            stack.pop()
+            done = _binarized(labels, kids)
+        else:
+            return done[0]
 
 
 def gold_span_labels(char_tree: CharTree) -> GoldSpanMap:

@@ -11,11 +11,14 @@ Logs go to standard error; data goes to files or standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
+import os
+import shutil
 import sys
+import tempfile
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,11 +51,10 @@ def _located(path: str, err: TreeFormatError) -> ValueError:
     return ValueError(f"{path}: {err}")
 
 
-def _read_sentences(path: str) -> list[str]:
-    """The non-blank lines of ``path``, stripped.  A line holding a
-    character no leaf can hold (a space, a tab or a parenthesis) raises
-    ValueError naming the file and the line."""
-    sentences = []
+def _read_sentences(path: str):
+    """The non-blank lines of ``path``, stripped, read as they are asked
+    for.  A line holding a character no leaf can hold (a space, a tab or a
+    parenthesis) raises ValueError naming the file and the line."""
     with io.open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             sentence = line.strip()
@@ -62,25 +64,36 @@ def _read_sentences(path: str) -> list[str]:
                 bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
                 raise ValueError(f"{path}: line {lineno}: {bad!r} cannot be a "
                                  f"character of a sentence")
-            sentences.append(sentence)
-    return sentences
+            yield sentence
 
 
-def _map_maybe_parallel(fn, items, threads: int) -> list:
-    """``fn`` over ``items`` in order; with threads, at most ``threads + 1``
-    items are in flight, so an iterator is read only as fast as it is used."""
+def _map_maybe_parallel(fn, items, threads: int):
+    """``fn`` over ``items``, yielded in order; with threads, at most
+    ``threads + 1`` items are in flight, so an iterator is read only as
+    fast as the results are used."""
     if threads <= 1:
-        return list(map(fn, items))
-    out = []
+        yield from map(fn, items)
+        return
+    # only a threaded run pays for importing the pool (and its logging)
+    from concurrent.futures import ThreadPoolExecutor
     pending = deque()
+    items = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for item in items:
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception:
+                for future in pending:  # an earlier item's error comes first
+                    future.result()
+                raise
             pending.append(pool.submit(fn, item))
             del item  # not held while the next item is read
             while len(pending) > threads:
-                out.append(pending.popleft().result())
-        out.extend(f.result() for f in pending)
-    return out
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _named_errors(path: str, blocks):
@@ -176,68 +189,146 @@ def _decode_flags(args) -> DecodeConfig:
                         require_nonnull_root=args.require_nonnull_root)
 
 
-def cmd_parse(args) -> int:
+def _paired(blocks, sentences):
+    """Each score block with its input sentence, or with None when there is
+    no input.  When the counts differ, the rest of the longer source is
+    read, so the error gives both full counts."""
+    k = 0
+    for block in blocks:
+        chars = None
+        if sentences is not None:
+            chars = next(sentences, None)
+            if chars is None:
+                del block
+                total = k + 1
+                while next(blocks, None) is not None:
+                    total += 1
+                raise ValueError(f"score file has {total} sentences, input has {k}")
+        yield block, chars
+        del block  # not held while the next block is read
+        k += 1
+    if sentences is not None:
+        total = k
+        while next(sentences, None) is not None:
+            total += 1
+        if total != k:
+            raise ValueError(f"score file has {k} sentences, input has {total}")
+
+
+def _parsed_char_trees(args):
+    """The decoded char tree of each input sentence, in input order, each
+    made as it is asked for."""
     decode_cfg = _decode_flags(args)
     if args.checkpoint:
         checkpoint = Checkpoint.load(args.checkpoint)
         vocab = checkpoint.vocab
         scorer = checkpoint.build_scorer()
-        sentences = _read_sentences(args.input)
 
         def run(sentence: str):
             scores = score_spans(scorer, sentence, vocab)
             ct, _ = cky_decode(scores, vocab, decode_cfg, chars=sentence)
             return ct
 
-        char_trees = _map_maybe_parallel(run, sentences, args.threads)
+        yield from _map_maybe_parallel(run, _read_sentences(args.input), args.threads)
+        return
+
+    def run_block(item):
+        (sid, scores, vocab), chars = item
+        if chars is not None and len(chars) != scores.n:
+            raise ValueError(f"sentence {sid}: score file says n={scores.n}, "
+                             f"input line has {len(chars)} characters")
+        ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
+        return ct
+
+    sentences = _read_sentences(args.input) if args.input else None
+    # each block is decoded and dropped before the next one is read
+    with io.open(args.score_file, "r", encoding="utf-8") as f:
+        blocks = _named_errors(args.score_file, read_score_file(f))
+        yield from _map_maybe_parallel(run_block, _paired(blocks, sentences),
+                                       args.threads)
+
+
+def _staged(target: str) -> str:
+    """A new empty temporary file for ``target``'s contents: next to the
+    file it names, or in the temporary directory when ``target`` is "-"
+    (standard output) or not a regular file (a FIFO, /dev/null)."""
+    if _replaceable(target):
+        directory, name = os.path.split(os.path.realpath(target))
     else:
-        sentences = _read_sentences(args.input) if args.input else None
-
-        def run_block(item):
-            k, (sid, scores, vocab) = item
-            chars = None
-            if sentences is not None:
-                if k >= len(sentences):
-                    return None  # counted for the error below, not decoded
-                chars = sentences[k]
-                if len(chars) != scores.n:
-                    raise ValueError(
-                        f"sentence {sid}: score file says n={scores.n}, "
-                        f"input line has {len(chars)} characters")
-            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
-            return ct
-
-        # each block is decoded and dropped before the next one is read
-        with io.open(args.score_file, "r", encoding="utf-8") as f:
-            blocks = _named_errors(args.score_file, read_score_file(f))
-            char_trees = _map_maybe_parallel(run_block, enumerate(blocks),
-                                             args.threads)
-        if sentences is not None and len(sentences) != len(char_trees):
-            raise ValueError(f"score file has {len(char_trees)} sentences, "
-                             f"input has {len(sentences)}")
-
-    trees = []
-    segs = []
-    for ct in char_trees:
-        tree, seg = from_char_tree(ct)
-        trees.append(tree)
-        segs.append(seg)
-
-    out = sys.stdout if args.output == "-" else io.open(args.output, "w",
-                                                        encoding="utf-8")
+        directory, name = None, "charspan"
     try:
-        for tree in trees:
-            out.write(serialize_bracketed(tree) + "\n")
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, target) from None
+    os.close(fd)
+    return temp
+
+
+def _replaceable(target: str) -> bool:
+    return target != "-" and (os.path.isfile(target) or not os.path.exists(target))
+
+
+def _commit(temp: str, target: str) -> None:
+    """Move the finished ``temp`` over ``target``, or copy it there."""
+    if _replaceable(target):
+        target = os.path.realpath(target)
+        if os.path.exists(target):
+            mode = os.stat(target).st_mode & 0o7777
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask  # what creating the file would give
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+        return
+    with io.open(temp, "r", encoding="utf-8") as src:
+        if target == "-":
+            shutil.copyfileobj(src, sys.stdout)
+        else:
+            with io.open(target, "w", encoding="utf-8") as dst:
+                shutil.copyfileobj(src, dst)
+    os.remove(temp)
+
+
+def cmd_parse(args) -> int:
+    # One sentence is in flight at a time: each is decoded, detransformed
+    # and written before the next is read.  The outputs are written to
+    # temporary files that replace the targets after the last sentence, so
+    # a failing run leaves no output file and no temporary one.
+    targets = [args.output, args.char_trees, args.segs]
+    temps = []
+    try:
+        for target in targets:
+            temps.append(_staged(target) if target else None)
+        trees_temp, chars_temp, segs_temp = temps
+        count = 0
+        with contextlib.ExitStack() as files:
+            trees_out = files.enter_context(io.open(trees_temp, "w", encoding="utf-8"))
+            segs_out = segs_temp and files.enter_context(
+                io.open(segs_temp, "w", encoding="utf-8"))
+
+            def written(ct):
+                nonlocal count
+                tree, seg = from_char_tree(ct)
+                trees_out.write(serialize_bracketed(tree) + "\n")
+                if segs_out:
+                    segs_out.write(" ".join(seg.words) + "\n")
+                count += 1
+                return ct
+
+            char_trees = map(written, _parsed_char_trees(args))
+            if chars_temp:
+                save_char_trees(char_trees, chars_temp)
+            else:
+                deque(char_trees, maxlen=0)
+        for temp, target in zip(temps, targets):
+            if temp:
+                _commit(temp, target)
     finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.char_trees:
-        save_char_trees(char_trees, args.char_trees)
-    if args.segs:
-        with io.open(args.segs, "w", encoding="utf-8") as f:
-            for seg in segs:
-                f.write(" ".join(seg.words) + "\n")
-    print(f"parsed {len(trees)} sentences", file=sys.stderr)
+        for temp in temps:
+            if temp and os.path.exists(temp):
+                os.remove(temp)
+    print(f"parsed {count} sentences", file=sys.stderr)
     return 0
 
 
@@ -295,7 +386,7 @@ def cmd_bench(args) -> int:
     rates = []
     for rep in range(args.repeats):
         t0 = time.perf_counter()
-        _map_maybe_parallel(decode_one, items, args.threads)
+        deque(_map_maybe_parallel(decode_one, items, args.threads), maxlen=0)
         dt = time.perf_counter() - t0
         rate = len(items) / dt
         rates.append(rate)

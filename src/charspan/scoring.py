@@ -13,7 +13,11 @@ Span features are a deterministic stand-in for a neural span encoder:
 boundary character unigrams at i-1, i, j-1, j (with sentinel code points
 past the edges), the two boundary bigrams, the span string itself when it
 has at most 4 characters, and a span-length bucket.  Feature strings are
-hashed with keyed blake2b so ids are stable across runs and platforms.
+hashed with keyed blake2b so ids are stable across runs and platforms.  The
+constructor is imported from ``_blake2``, where ``hashlib.blake2b`` comes
+from too: hashlib never uses OpenSSL's blake2, and only ``_blake2`` takes
+a key.  ``import hashlib`` would also load OpenSSL's libcrypto, about
+3.8 MB more peak RSS for a process that has imported numpy (Linux).
 Each feature depends on one position or on the width alone (L, B and LB
 on the span's start, E, R and ER on its end, S on the start and a width
 of at most 4, W on the width), so a sentence's features are hashed into
@@ -24,7 +28,7 @@ scorers sum every span from their per-position rows (see ``scorers``).
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -211,13 +215,23 @@ class SpanRepresentation:
 
 
 # the keyed state, made once; each feature string updates a copy of it
-_KEYED_HASH = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+_KEYED_HASH = blake2b(digest_size=8, key=_HASH_KEY)
+
+
+def _feature_ids(features: Iterable[str], dim: int) -> np.ndarray:
+    """The ids of ``features``: each string's keyed digest, read as a
+    little-endian 64-bit integer, modulo ``dim``."""
+    digests = []
+    for feature in features:
+        h = _KEYED_HASH.copy()
+        h.update(feature.encode("utf-8"))
+        digests.append(h.digest())
+    ids = np.frombuffer(b"".join(digests), "<u8") % np.uint64(dim)
+    return ids.astype(np.int64)
 
 
 def _feature_id(feature: str, dim: int) -> int:
-    h = _KEYED_HASH.copy()
-    h.update(feature.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little") % dim
+    return int(_feature_ids([feature], dim)[0])
 
 
 def _length_bucket(length: int) -> str:
@@ -251,28 +265,28 @@ def span_representation(chars: Sequence[str], i, j,
         raise ValueError(f"span ({starts[k]}, {ends[k]}) out of range for length {n}")
     if dim <= 0:
         raise ValueError("feature dimension must be positive")
-    memo: dict[str, int] = {}
-
-    def hashed(feature: str) -> int:
-        fid = memo.get(feature)
-        if fid is None:
-            fid = memo[feature] = _feature_id(feature, dim)
-        return fid
-
     # Position p sits between padded[p] and padded[p + 1]: the characters
-    # before and at p.
+    # before and at p.  The features of every table, in table order:
     padded = [LEFT_SENTINEL, *chars, RIGHT_SENTINEL]
     around = list(zip(padded, padded[1:]))
-    by_start = np.array([(hashed("L:" + a), hashed("B:" + b), hashed("LB:" + a + b))
-                         for a, b in around[:n]], dtype=np.int64).reshape(n, 3).T
-    by_end = np.array([(hashed("E:" + a), hashed("R:" + b), hashed("ER:" + a + b))
-                       for a, b in around[1:]], dtype=np.int64).reshape(n, 3).T
+    features = [f for a, b in around[:n] for f in ("L:" + a, "B:" + b, "LB:" + a + b)]
+    features += [f for a, b in around[1:] for f in ("E:" + a, "R:" + b, "ER:" + a + b)]
+    widths = range(1, min(n, 4) + 1)
+    for w in widths:
+        features += ["S:" + "".join(chars[p:p + w]) for p in range(n - w + 1)]
+    features += ["W:" + _length_bucket(w) for w in range(1, n + 1)]
+    # each distinct string is hashed once
+    slots: dict[str, int] = {}
+    index = [slots.setdefault(f, len(slots)) for f in features]
+    ids = _feature_ids(slots, dim)[index]
+    by_start = ids[:3 * n].reshape(n, 3).T
+    by_end = ids[3 * n:6 * n].reshape(n, 3).T
     by_short = np.full((4, n), -1, dtype=np.int64)
-    for w in range(1, min(n, 4) + 1):
-        by_short[w - 1, :n - w + 1] = [hashed("S:" + "".join(chars[p:p + w]))
-                                       for p in range(n - w + 1)]
-    by_width = np.array([-1] + [hashed("W:" + _length_bucket(w))
-                                for w in range(1, n + 1)], dtype=np.int64)
+    k = 6 * n
+    for w in widths:
+        by_short[w - 1, :n - w + 1] = ids[k:k + n - w + 1]
+        k += n - w + 1
+    by_width = np.concatenate(([-1], ids[k:]))
     positions = PositionIds(by_start, by_end, by_short, by_width)
     if np.ndim(i) == 0 and np.ndim(j) == 0:
         row = positions.span_ids(starts, ends)[0]
@@ -304,9 +318,10 @@ def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
         rows, _ = scorer.score_train(rep, rng)
     else:
         rows = scorer.score(rep)
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        k = int(bad.argmax())
+    # min and max are NaN or infinite when any value is, and make no
+    # (S, L) temporary; the first bad span is located only on failure
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        k = int((~np.isfinite(rows).all(axis=1)).argmax())
         raise ValueError(f"scorer produced non-finite values at span "
                          f"({starts[k]}, {ends[k]})")
     return SpanScores(n, len(vocab), rows, validate=False)

@@ -77,15 +77,31 @@ class SyntaxTree:
         if self.token is not None:
             return [self.token]
         out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [iter(self.children)]  # the unvisited children of each open node
+        while stack:
+            for node in stack[-1]:
+                if node.token is not None:
+                    out.append(node.token)
+                else:
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SyntaxTree):
             return NotImplemented
-        return (self.label == other.label and self.token == other.token
-                and self.children == other.children)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.label != b.label or a.token != b.token
+                    or len(a.children) != len(b.children)):
+                return False
+            stack += zip(a.children, b.children)
+        return True
 
     def __hash__(self) -> int:
         return hash((self.label, self.token, self.children))
@@ -212,8 +228,21 @@ def serialize_bracketed(tree: SyntaxTree) -> str:
     """Single-line bracketed form; inverse of parse_bracketed per tree."""
     if tree.token is not None:
         return tree.token
-    inner = " ".join(serialize_bracketed(c) for c in tree.children)
-    return f"({tree.label} {inner})"
+    out = []
+    stack: list = [tree]  # nodes and the text between them, in output order
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item.token is not None:
+            out.append(item.token)
+        else:
+            out.append(f"({item.label} ")
+            children = item.children
+            stack += (")", children[-1])
+            for child in reversed(children[:-1]):
+                stack += (" ", child)
+    return "".join(out)
 
 
 def _strip_label(label: str) -> str:
@@ -234,23 +263,39 @@ def strip_function_tags(tree: SyntaxTree) -> SyntaxTree:
     """
     if tree.token is not None:
         return tree
-    return SyntaxTree(_strip_label(tree.label),
-                      [strip_function_tags(c) for c in tree.children])
+    # each open node with its unvisited children and its finished ones
+    stack = [(tree, iter(tree.children), [])]
+    while True:
+        node, rest, kids = stack[-1]
+        for child in rest:
+            if child.token is not None:
+                kids.append(child)
+            else:
+                stack.append((child, iter(child.children), []))
+                break
+        else:
+            stack.pop()
+            node = SyntaxTree(_strip_label(node.label), kids)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
 
 def _reject_reserved(tree: SyntaxTree, idx: int) -> None:
-    if tree.token is not None:
-        return
-    if tree.label in RESERVED_LABELS:
-        raise TreeFormatError(
-            f"tree {idx}: label {tree.label!r} is reserved by the "
-            f"character-level encoding")
-    if UNARY_JOIN in tree.label:
-        raise TreeFormatError(
-            f"tree {idx}: label {tree.label!r} contains {UNARY_JOIN!r}, "
-            f"which is reserved for merged unary chains")
-    for child in tree.children:
-        _reject_reserved(child, idx)
+    stack = [tree]  # pre-order, leftmost child first
+    while stack:
+        node = stack.pop()
+        if node.token is not None:
+            continue
+        if node.label in RESERVED_LABELS:
+            raise TreeFormatError(
+                f"tree {idx}: label {node.label!r} is reserved by the "
+                f"character-level encoding")
+        if UNARY_JOIN in node.label:
+            raise TreeFormatError(
+                f"tree {idx}: label {node.label!r} contains {UNARY_JOIN!r}, "
+                f"which is reserved for merged unary chains")
+        stack += reversed(node.children)
 
 
 def load_corpus(path: str | os.PathLike, strip_tags: bool = True) -> Corpus:

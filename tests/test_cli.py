@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import io
+import os
 import re
 import subprocess
 import sys
@@ -81,6 +82,25 @@ def test_transform_detransform_round_trip(workdir):
     assert [s.replace(" ", "") for s in segs] == sents
 
 
+def test_transform_round_trip_of_a_word_tree_deeper_than_the_recursion_limit(
+        tmp_path):
+    # a right-branching tree 1100 levels deep, past Python's default limit
+    # of 1000 frames: (IP (NN c0) (IP (NN c1) ... (NN c1100)))
+    depth = 1100
+    chars = [chr(0x4E00 + k) for k in range(depth + 1)]
+    text = ("".join(f"(IP (NN {c}) " for c in chars[:-1]) + f"(NN {chars[-1]})"
+            + ")" * depth + "\n")
+    gold = tmp_path / "deep.txt"
+    gold.write_text(text, encoding="utf-8")
+    r = run_cli("transform", str(gold), str(tmp_path / "deep.char"))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("detransform", str(tmp_path / "deep.char"), str(tmp_path / "back.txt"),
+                "--segs", str(tmp_path / "segs.txt"))
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "back.txt").read_text(encoding="utf-8") == text
+    assert (tmp_path / "segs.txt").read_text(encoding="utf-8") == " ".join(chars) + "\n"
+
+
 def test_transform_reports_line_number(workdir, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("(IP (NN 好))\n(IP (NN 好)\n", encoding="utf-8")
@@ -142,7 +162,7 @@ def test_parse_rejects_wrong_sentence_length(workdir, tmp_path):
 @pytest.mark.parametrize("bad", [" ", "\t", "(", ")"])
 def test_parse_rejects_input_line_that_cannot_be_leaves(workdir, checkpoint,
                                                         tmp_path, bad):
-    # rejected as the input is read, before any scoring, with file and line
+    # rejected as the input is read, with file and line, and nothing is written
     lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
     lines[2] = lines[2][:1] + bad + lines[2][1:]
     mangled = tmp_path / "mangled.txt"
@@ -214,11 +234,31 @@ def test_parse_sentence_count_mismatch_counts_every_block(workdir, tmp_path, cap
     assert not out.exists()
 
 
+def test_parse_reports_the_first_fault_whatever_the_threads(workdir, tmp_path,
+                                                            capsys):
+    # sentence 1 has the wrong length and the input ends after sentence 2:
+    # with threads, the count error is found while sentence 1 is still in
+    # the pool, and its error must still come first
+    lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
+    sents = tmp_path / "sents.txt"
+    sents.write_text("\n".join([lines[0], lines[1] + "嗯", lines[2]]) + "\n",
+                     encoding="utf-8")
+    for threads in ("1", "2", "3"):
+        code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
+                         "--input", str(sents), "--output", str(tmp_path / "t.txt"),
+                         "--threads", threads])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"charspan: error: sentence 1: score file says n={len(lines[1])}, "
+            f"input line has {len(lines[1]) + 1} characters\n"), threads
+    assert sorted(os.listdir(tmp_path)) == ["sents.txt"]
+
+
 def test_parse_score_file_memory_stays_at_one_block(tmp_path):
-    # Scores are held one block at a time; the kept char trees still grow
-    # with the corpus (about 7 KB a sentence here), so L = 32 makes one
-    # block (210 KB at n = 40) outweigh the 12 sentences added below.
-    ns, num_labels = (20, 27, 33, 40), 32
+    # Scores are held one block at a time and each sentence is written
+    # before the next block is read, so 12 more sentences add less than
+    # one block (39 KB at n = 40 and L = 6).
+    ns, num_labels = (20, 27, 33, 40), 6
     block_bytes = max(ns) * (max(ns) + 1) // 2 * num_labels * 8
     vocab = LabelVocab([NULL_LABEL, "@1", "@2"] +
                        [f"X{k}" for k in range(num_labels - 3)])
@@ -334,13 +374,119 @@ def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):
 def test_parse_threads_match_single_thread(workdir, checkpoint, tmp_path):
     for name, source in (("ckpt", ("--checkpoint", str(checkpoint))),
                          ("scores", ("--score-file", str(workdir / "scores.txt")))):
-        a = tmp_path / f"{name}_a.txt"
-        b = tmp_path / f"{name}_b.txt"
-        for out, threads in ((a, "1"), (b, "3")):
+        outputs = {}
+        for threads in ("1", "2", "3"):
+            paths = [tmp_path / f"{name}_{threads}_{kind}.txt"
+                     for kind in ("trees", "segs", "chars")]
             r = run_cli("parse", *source, "--input", str(workdir / "sents.txt"),
-                        "--output", str(out), "--threads", threads)
+                        "--output", str(paths[0]), "--segs", str(paths[1]),
+                        "--char-trees", str(paths[2]), "--threads", threads)
             assert r.returncode == 0, r.stderr
-        assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+            outputs[threads] = [path.read_bytes() for path in paths]
+        assert outputs["2"] == outputs["1"] and outputs["3"] == outputs["1"]
+        assert all(len(out.splitlines()) == 8 for out in outputs["1"])
+
+
+def test_parse_checkpoint_imports_neither_openssl_nor_a_thread_pool(workdir,
+                                                                    checkpoint,
+                                                                    tmp_path):
+    # hashlib loads OpenSSL's libcrypto, and the thread pool logging and
+    # queue; a single-threaded parse process needs none of them
+    script = ("import sys\n"
+              "import charspan.cli\n"
+              "code = charspan.cli.main(sys.argv[1:])\n"
+              "print(code, [name for name in ('_hashlib', 'hashlib', "
+              "'concurrent.futures') if name in sys.modules])\n")
+    r = subprocess.run([sys.executable, "-c", script, "parse", "--checkpoint",
+                        str(checkpoint), "--input", str(workdir / "sents.txt"),
+                        "--output", str(tmp_path / "trees.txt")],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 []\n"
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "score-file"])
+def test_failing_parse_leaves_no_output_and_no_temporary_file(workdir, checkpoint,
+                                                              tmp_path, capsys,
+                                                              source):
+    # Line 5 holds the third sentence, so two are decoded and written to
+    # the temporary files before the error.  The targets are replaced only
+    # after the last sentence: one that existed keeps its bytes, and
+    # standard output gets nothing.
+    lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2][:1] + " " + lines[2][1:]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trees.txt").write_text("old trees\n", encoding="utf-8")
+    scored = (["--checkpoint", str(checkpoint)] if source == "checkpoint"
+              else ["--score-file", str(workdir / "scores.txt")])
+    decode = cli.cky_decode
+    decoded = []
+
+    def counting_decode(scores, *args, **kwargs):
+        decoded.append(scores.n)
+        return decode(scores, *args, **kwargs)
+
+    for output in (str(out / "trees.txt"), "-"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "cky_decode", counting_decode)
+            code = cli.main(["parse", *scored, "--input", str(bad), "--output", output,
+                             "--segs", str(out / "segs.txt"),
+                             "--char-trees", str(out / "chars.txt")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"charspan: error: {bad}: line 5: ' ' cannot "
+                                f"be a character of a sentence\n")
+        assert sorted(os.listdir(out)) == ["trees.txt"]
+        assert (out / "trees.txt").read_text(encoding="utf-8") == "old trees\n"
+    assert decoded == [len(lines[0]), len(lines[1])] * 2
+
+
+def test_parse_output_replaces_a_file_and_writes_through_others(workdir, tmp_path,
+                                                                 capsys):
+    # an existing target is replaced and keeps its mode; "-" and a target
+    # that is not a regular file (here /dev/null) are written to, not replaced
+    args = ["parse", "--score-file", str(workdir / "scores.txt"),
+            "--input", str(workdir / "sents.txt")]
+    gold = (workdir / "gold.txt").read_text(encoding="utf-8")
+    out = tmp_path / "trees.txt"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert cli.main([*args, "--output", str(out), "--segs", os.devnull]) == 0
+    assert out.read_text(encoding="utf-8") == gold
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    assert sorted(os.listdir(tmp_path)) == ["trees.txt"]
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == gold
+    assert captured.err == "parsed 8 sentences\n"
+
+
+def test_parse_checkpoint_memory_is_flat_in_the_corpus_size(workdir, checkpoint,
+                                                            tmp_path):
+    # Each sentence is written before the next is read, so 120 more input
+    # lines add nothing that stays: holding their trees took about 150 KB.
+    sentences = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
+
+    def peak(count: int) -> int:
+        sents = tmp_path / f"sents{count}.txt"
+        sents.write_text("".join(sentences[k % len(sentences)] + "\n"
+                                 for k in range(count)), encoding="utf-8")
+        args = ["parse", "--checkpoint", str(checkpoint), "--input", str(sents),
+                "--output", str(tmp_path / "trees.txt"),
+                "--segs", str(tmp_path / "segs.txt"),
+                "--char-trees", str(tmp_path / "chars.txt")]
+        code, peak_bytes = traced_peak(lambda: cli.main(args))
+        assert code == 0
+        return peak_bytes
+
+    peak(128)  # first calls fill lazy caches
+    assert peak(128) - peak(8) < 16_000
 
 
 @pytest.fixture(scope="module")

@@ -112,6 +112,42 @@ def test_hash_is_stable_across_runs():
                                 978669, 644762]
 
 
+def test_feature_hash_is_blake2b_without_openssl():
+    # the constructor hashlib itself hands out, imported without hashlib
+    # (which loads OpenSSL's libcrypto); the ids are those of the keyed hash
+    import hashlib
+    assert scoring.blake2b is hashlib.blake2b
+    assert [scoring._feature_id(f, 1 << 20) for f in ("B:中", "LB:中国", "W:5-8")] \
+        == [467244, 263448, 703937]
+
+
+def test_span_representation_hashes_each_distinct_feature_once():
+    chars = "好好好好好好中国好好"
+    starts, ends = span_bounds(len(chars))
+    with mock.patch.object(scoring, "_feature_ids", wraps=scoring._feature_ids) as spy:
+        rep = span_representation(chars, starts, ends, dim=1 << 12)
+    (features, dim), _ = spy.call_args
+    assert spy.call_count == 1 and dim == 1 << 12
+    features = list(features)
+    assert len(features) == len(set(features))
+    # every id of every table is the id of its own feature string
+    ids = dict(zip(features, scoring._feature_ids(features, dim).tolist()))
+    padded = [scoring.LEFT_SENTINEL, *chars, scoring.RIGHT_SENTINEL]
+    for p in range(len(chars)):
+        a, b = padded[p], padded[p + 1]
+        assert rep.positions.by_start[:, p].tolist() == [
+            ids["L:" + a], ids["B:" + b], ids["LB:" + a + b]]
+        a, b = padded[p + 1], padded[p + 2]
+        assert rep.positions.by_end[:, p].tolist() == [
+            ids["E:" + a], ids["R:" + b], ids["ER:" + a + b]]
+        for w in range(1, 5):
+            expected = ids.get("S:" + chars[p:p + w]) if p + w <= len(chars) else -1
+            assert rep.positions.by_short[w - 1, p] == expected
+    assert rep.positions.by_width.tolist() == [-1] + [
+        ids["W:" + scoring._length_bucket(w)] for w in range(1, len(chars) + 1)]
+    assert all(table.dtype == np.int64 for table in rep.positions)
+
+
 def test_span_representation_batch_matches_single_spans():
     chars = "好好好好好好中国好好"  # repeated characters share feature strings
     starts, ends = np.triu_indices(len(chars) + 1, k=1)
@@ -250,6 +286,14 @@ def test_score_spans_names_first_nonfinite_span():
                           rows=[[0.0, np.inf, 0.0]])
     with pytest.raises(ValueError, match=r"non-finite values at span \(0, 2\)"):
         score_spans(scorer, "很好的", vocab)
+    # a NaN, or an infinity of either sign, in any later span is found too
+    for bad in (np.nan, np.inf, -np.inf):
+        scorer = LinearScorer(1 << 20, len(vocab), keys=[width2],
+                              rows=[[0.0, 0.0, 0.0]])
+        rows = scorer.score
+        scorer.score = lambda rep: np.where(np.arange(6)[:, None] == 4, bad, rows(rep))
+        with pytest.raises(ValueError, match=r"non-finite values at span \(1, 3\)"):
+            score_spans(scorer, "很好的", vocab)
 
 
 def test_score_spans_label_count_mismatch():

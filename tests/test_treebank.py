@@ -132,3 +132,30 @@ def test_structural_equality_and_hash():
     c = parse_bracketed("(A (B x) (C z))")[0]
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_tree_walks_deeper_than_the_recursion_limit():
+    # a right-branching tree 1100 levels deep, past Python's default limit
+    # of 1000 frames: (IP-X (NN c0) (IP-X (NN c1) ... (NN c1100)))
+    def deep(label, tokens):
+        return ("".join(f"({label} (NN {c}) " for c in tokens[:-1])
+                + f"(NN {tokens[-1]})" + ")" * (len(tokens) - 1))
+
+    tokens = [chr(0x4E00 + k) for k in range(1101)]
+    text = deep("IP-X", tokens)
+    tree = parse_bracketed(text)[0]
+    assert tree.leaves() == tokens
+    assert serialize_bracketed(tree) == text
+    stripped = strip_function_tags(tree)
+    assert serialize_bracketed(stripped) == deep("IP", tokens)
+    assert stripped == parse_bracketed(deep("IP", tokens))[0]
+    assert stripped != parse_bracketed(deep("IP", tokens[:-1] + ["嗯"]))[0]
+    assert stripped != tree
+
+
+def test_equality_compares_every_node():
+    trees = parse_bracketed("(A (B x) (C y)) (A (B x) (C z)) (A (B x) (D y)) "
+                            "(A (B x)) (A (B x) (C y) (C y)) (A (B x) (C (E y)))")
+    for a in trees:
+        for b in trees:
+            assert (a == b) == (a is b)
