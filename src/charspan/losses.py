@@ -71,11 +71,15 @@ def label_loss(scores: SpanScores, gold: GoldSpanMap, vocab: LabelVocab,
         values = scores.values
     picked = np.arange(len(rows)), target
     m = values.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(values - m).sum(axis=1, keepdims=True))
+    # one (S, L) buffer takes exp(values - m), then becomes the gradient
+    grad = np.subtract(values, m)
+    np.exp(grad, out=grad)
+    lse = m + np.log(grad.sum(axis=1, keepdims=True))
     total = 0.0
     for span_loss in (lse[:, 0] - values[picked]).tolist():
         total += span_loss
-    grad = np.exp(values - lse)
+    np.subtract(values, lse, out=grad)
+    np.exp(grad, out=grad)
     grad[picked] -= 1.0
     return LossValue(total, rows, grad)
 

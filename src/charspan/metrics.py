@@ -56,22 +56,23 @@ def constituents(tree: SyntaxTree) -> Counter:
     """Multiset of (label, char_start, char_end) for scoring: internal
     nodes except the root and except pre-terminals."""
     out: Counter = Counter()
-    _count_constituents(tree, 0, True, out)
+    pos = 0  # characters before the next leaf
+    # each open node with its start and its unvisited children, so depth
+    # is not bounded by recursion; a node counts once its children are done
+    stack = [(tree, 0, iter(tree.children))]
+    while stack:
+        node, start, children = stack[-1]
+        for child in children:
+            if child.token is not None:
+                pos += len(child.token)
+            else:
+                stack.append((child, pos, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            if stack and not node.is_preterminal:  # the root has no parent
+                out[(node.label, start, pos)] += 1
     return out
-
-
-def _count_constituents(node: SyntaxTree, start: int, is_root: bool,
-                        out: Counter) -> int:
-    # Not a closure in constituents: a recursive closure is a reference
-    # cycle, which keeps ``out`` alive until the cyclic collector runs.
-    if node.token is not None:
-        return start + len(node.token)
-    pos = start
-    for child in node.children:
-        pos = _count_constituents(child, pos, False, out)
-    if not is_root and not node.is_preterminal:
-        out[(node.label, start, pos)] += 1
-    return pos
 
 
 def parse_f1(gold_trees: Sequence[SyntaxTree],

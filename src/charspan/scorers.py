@@ -17,20 +17,25 @@ the span alone, sign of zero included.
 
 Training goes one sentence at a time.  ``backward(rep, rows, grad, cache)``
 takes a loss's gradient for the packed score ``rows`` of one sentence and
-returns a ``SentenceGradient``; ``sgd_step`` applies a batch of them, one
-sentence after another in batch order, and within a sentence span by span
-and feature by feature, the order every weight's updates round in.
+returns a ``SentenceGradient``, with the ids of those rows' spans built from
+the position tables: nothing keeps a sentence's id matrix.  ``sgd_step``
+applies a batch of them, one sentence after another in batch order, and
+within a sentence span by span and feature by feature, the order every
+weight's updates round in.  A sentence's updates land in pieces of at most
+``_UPDATE_ROWS`` rows, one ``np.subtract.at`` each, so a step holds no
+more than one piece beside the sentence's gradient, however long the
+sentence and however many the labels.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .scoring import PositionIds, SpanRepresentation
 
-_UPDATE_ROWS = 1024  # rows per np.subtract.at in _subtract_rows
+_UPDATE_ROWS = 1024  # most update rows in one np.subtract.at, 8 per span
 
 
 def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -108,11 +113,17 @@ class SentenceGradient(NamedTuple):
     hidden: np.ndarray | None = None  # (R, H), MLP only
     grad: np.ndarray | None = None    # (R, L), MLP only
 
-    def feature_updates(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    def feature_updates(self, scale: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Every (feature id, ``scale`` times its gradient row) of the
-        sentence, span by span and in feature order within a span."""
-        present = self.ids >= 0
-        return self.ids[present], (scale * self.feature)[np.nonzero(present)[0]]
+        sentence, span by span and in feature order within a span, in
+        pieces of at most ``_UPDATE_ROWS // 8`` spans."""
+        spans = _UPDATE_ROWS // 8
+        for start in range(0, len(self.ids), spans):
+            ids = self.ids[start:start + spans]
+            present = ids >= 0
+            updates = self.feature[start:start + spans][np.nonzero(present)[0]]
+            updates *= scale
+            yield ids[present], updates
 
 
 def _subtract_rows(table: np.ndarray, pos: np.ndarray, updates: np.ndarray) -> None:
@@ -121,16 +132,12 @@ def _subtract_rows(table: np.ndarray, pos: np.ndarray, updates: np.ndarray) -> N
     weight takes its updates in the same order and with the same rounding.
 
     numpy's ``ufunc.at`` is several times faster on single elements than on
-    whole rows, so this addresses the flattened table, ``_UPDATE_ROWS``
-    rows at a time to bound the index array.
+    whole rows, so this addresses the flattened table.  Its index array is
+    as big as ``updates``, which ``feature_updates`` keeps to one piece.
     """
     width = table.shape[1]
-    weights = table.reshape(-1, copy=False)
-    columns = np.arange(width)
-    for start in range(0, len(pos), _UPDATE_ROWS):
-        part = slice(start, start + _UPDATE_ROWS)
-        np.subtract.at(weights, (pos[part, None] * width + columns).ravel(),
-                       updates[part].ravel())
+    np.subtract.at(table.reshape(-1, copy=False),
+                   (pos[:, None] * width + np.arange(width)).ravel(), updates.ravel())
 
 
 def _check_upstream(grad: np.ndarray) -> None:
@@ -209,7 +216,7 @@ class LinearScorer:
         """The weight gradient of score rows ``rows`` of the sentence whose
         spans ``rep`` holds, given their gradient ``grad``."""
         _check_upstream(grad)
-        return SentenceGradient(rep.ids[rows], grad)
+        return SentenceGradient(rep.ids_of(rows), grad)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"keys": self.keys, "rows": self.rows}
@@ -218,16 +225,16 @@ class LinearScorer:
                  count: int | None = None) -> None:
         """Plain SGD on the batch mean; an id without a row gets one.
 
-        One ``np.subtract.at`` per sentence lands its updates one by one, so
-        every weight takes them in the order, and with the rounding, of
-        ``np.subtract.at`` on the dense matrix.
+        One ``np.subtract.at`` per piece of a sentence lands its updates one
+        by one, so every weight takes them in the order, and with the
+        rounding, of ``np.subtract.at`` on the dense matrix.
         """
         scale = lr / (count if count is not None else len(grads))
         for g in grads:
-            self._subtract(*g.feature_updates(scale))
+            for ids, updates in g.feature_updates(scale):
+                self._subtract(ids, updates)
 
     def _subtract(self, ids: np.ndarray, updates: np.ndarray) -> None:
-        # one sentence's expanded updates live only during this call
         pos = self._positions(ids)
         new = pos < 0
         if new.any():
@@ -327,7 +334,7 @@ class MLPHead:
         """
         grad = np.array(grad, dtype=np.float64)  # the b2 gradient; a copy
         _check_upstream(grad)
-        ids = rep.ids[rows]
+        ids = rep.ids_of(rows)
         if cache is None:
             pre = self._pre_hidden(SpanRepresentation(ids, rep.dim))
             keep = None
@@ -353,7 +360,8 @@ class MLPHead:
         span by span, as if every span were a step of its own."""
         scale = lr / (count if count is not None else len(grads))
         for g in grads:
-            _subtract_rows(self.W1, *g.feature_updates(scale))
+            for ids, updates in g.feature_updates(scale):
+                _subtract_rows(self.W1, ids, updates)
             for hidden, feature, upstream in zip(g.hidden, g.feature, g.grad):
                 self.b1 -= scale * feature
                 self.W2 -= scale * np.outer(hidden, upstream)

@@ -197,7 +197,8 @@ class SpanRepresentation:
     feature of spans wider than 4 characters.  A representation of all
     spans of a sentence, in packed row order, also carries the sentence's
     ``positions`` tables; the scorers sum its spans from those, and its id
-    matrix is only built when ``ids`` is first read.
+    matrix is only built when ``ids`` is first read.  Training reads only
+    the rows it needs, through ``ids_of``, and keeps no id matrix.
     """
 
     def __init__(self, ids: np.ndarray | None, dim: int,
@@ -212,6 +213,14 @@ class SpanRepresentation:
             n = self.positions.by_start.shape[1]
             self._ids = self.positions.span_ids(*span_bounds(n))
         return self._ids
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the id matrix, built from the position tables
+        when there are any; nothing keeps them."""
+        if self.positions is None:
+            return self._ids[rows]
+        starts, ends = span_bounds(self.positions.by_start.shape[1])
+        return self.positions.span_ids(starts[rows], ends[rows])
 
 
 # the keyed state, made once; each feature string updates a copy of it

@@ -298,8 +298,10 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
     reps = [span_representation(chars, *span_bounds(len(chars)), dim)
             for chars in sentences]
     if config.scorer == "linear":
-        # every row SGD will update exists before the first step
-        scorer.register(np.concatenate([rep.ids for rep in reps]))
+        # every row SGD will update exists before the first step; the
+        # position tables hold the ids of all spans of their sentence
+        scorer.register(np.concatenate([table.ravel() for rep in reps
+                                        for table in rep.positions]))
 
     lr = config.effective_learning_rate
     # dev F1 is never NaN, so epoch 1 always beats -1 and sets best_params
@@ -326,11 +328,13 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
                 epoch_loss += value
                 grads.append(grad)
             scorer.sgd_step(grads, lr, count=len(batch))
+            del grads, grad  # neither the next batch nor the dev pass needs them
 
         seg, par = _evaluate(scorer, vocab, dev_trees, decode_cfg)
         if par.f1 > best_f1:
             best_f1 = par.f1
-            best_params = {k: v.copy() for k, v in scorer.params().items()}
+            best_params.clear()  # the old copy goes before the new one is made
+            best_params.update((k, v.copy()) for k, v in scorer.params().items())
             best_epoch = epoch
             since_improve = 0
         else:

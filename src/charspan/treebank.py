@@ -104,7 +104,16 @@ class SyntaxTree:
         return True
 
     def __hash__(self) -> int:
-        return hash((self.label, self.token, self.children))
+        # children before parents, without recursion: a node's hash takes
+        # its label, its token and its children's hashes
+        order = [self]
+        for node in order:  # breadth first: a node before its children
+            order += node.children
+        hashes: dict[int, int] = {}
+        for node in reversed(order):
+            hashes[id(node)] = hash((node.label, node.token,
+                                     tuple(hashes[id(c)] for c in node.children)))
+        return hashes[id(self)]
 
     def __repr__(self) -> str:
         if self.token is not None:

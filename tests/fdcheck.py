@@ -32,8 +32,8 @@ def dense_gradients(grad, shapes: dict) -> dict:
     when ``shapes`` names only "W", an MLP's when it names W1, b1, W2, b2.
     Linear feature ids index the rows of "W" directly."""
     out = {name: np.zeros(shape) for name, shape in shapes.items()}
-    ids, rows = grad.feature_updates(1.0)
-    np.add.at(out["W" if "W" in out else "W1"], ids, rows)
+    for ids, rows in grad.feature_updates(1.0):
+        np.add.at(out["W" if "W" in out else "W1"], ids, rows)
     if "b1" in out:
         for hidden, feature, upstream in zip(grad.hidden, grad.feature, grad.grad):
             out["b1"] += feature

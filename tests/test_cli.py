@@ -82,14 +82,19 @@ def test_transform_detransform_round_trip(workdir):
     assert [s.replace(" ", "") for s in segs] == sents
 
 
-def test_transform_round_trip_of_a_word_tree_deeper_than_the_recursion_limit(
-        tmp_path):
-    # a right-branching tree 1100 levels deep, past Python's default limit
-    # of 1000 frames: (IP (NN c0) (IP (NN c1) ... (NN c1100)))
-    depth = 1100
+def _deep_tree(depth):
+    # a right-branching tree ``depth`` levels deep, its characters and its
+    # text: (IP (NN c0) (IP (NN c1) ... (NN c<depth>)))
     chars = [chr(0x4E00 + k) for k in range(depth + 1)]
     text = ("".join(f"(IP (NN {c}) " for c in chars[:-1]) + f"(NN {chars[-1]})"
             + ")" * depth + "\n")
+    return chars, text
+
+
+def test_transform_round_trip_of_a_word_tree_deeper_than_the_recursion_limit(
+        tmp_path):
+    # 1100 levels, past Python's default limit of 1000 frames
+    chars, text = _deep_tree(1100)
     gold = tmp_path / "deep.txt"
     gold.write_text(text, encoding="utf-8")
     r = run_cli("transform", str(gold), str(tmp_path / "deep.char"))
@@ -99,6 +104,17 @@ def test_transform_round_trip_of_a_word_tree_deeper_than_the_recursion_limit(
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "back.txt").read_text(encoding="utf-8") == text
     assert (tmp_path / "segs.txt").read_text(encoding="utf-8") == " ".join(chars) + "\n"
+
+
+def test_eval_of_a_word_tree_deeper_than_the_recursion_limit(tmp_path):
+    _, text = _deep_tree(1100)
+    gold = tmp_path / "deep.txt"
+    gold.write_text(text, encoding="utf-8")
+    r = run_cli("eval", str(gold), str(gold))
+    assert r.returncode == 0, r.stderr
+    # every IP but the root is scored: 1099 brackets, all matched
+    assert r.stdout.splitlines()[2].split()[-3:] == ["1099"] * 3
+    assert "seg_f1=1.0 par_f1=1.0" in r.stdout
 
 
 def test_transform_reports_line_number(workdir, tmp_path):

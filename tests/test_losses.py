@@ -12,7 +12,10 @@ from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
                               oracle_scores, span_bounds, span_row)
+from charspan.synthesis import synthesize_corpus
 from charspan.treebank import parse_bracketed
+
+from memcheck import traced_peak
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "VV+@1", "NN", "@2", "IP"])
 
@@ -127,6 +130,19 @@ def test_label_loss_matches_span_by_span_arithmetic_bitwise(spans):
             assert loss.value == total
             assert loss.rows.tolist() == rows
             assert np.array_equal(loss.grad, grad)
+
+
+def test_label_loss_holds_one_score_sized_array():
+    # the softmax is computed in the (S, L) array it returns as the gradient
+    ct = to_char_tree(synthesize_corpus(1, seed=4, median_chars=60, min_chars=60,
+                                        max_chars=60)[0])
+    labels = build_vocab([ct]).labels
+    vocab = LabelVocab(labels + [f"X{k}" for k in range(100 - len(labels))])
+    scores = random_scores(np.random.default_rng(5), ct.span[1], len(vocab))
+    gradient_bytes = scores.values.nbytes
+    loss, peak = traced_peak(lambda: label_loss(scores, gold_span_labels(ct), vocab))
+    assert loss.grad.nbytes == gradient_bytes
+    assert peak < 1.25 * gradient_bytes
 
 
 def test_label_loss_gold_spans_only_touches_gold_spans():

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from charspan import scorers
+from charspan.chartree import gold_span_labels, to_char_tree
+from charspan.losses import label_loss
 from charspan.scorers import LinearScorer, MLPHead
-from charspan.scoring import SpanRepresentation, span_representation
+from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
+                              span_bounds, span_representation)
+from charspan.synthesis import synthesize_corpus
 
 from fdcheck import dense_gradients, finite_difference, relative_error
+from memcheck import traced_peak
 
 DIM = 8
 LABELS = 3
@@ -237,3 +242,31 @@ def test_real_representation_drives_both_heads():
     mlp = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
     assert lin.score(rep).shape == (LABELS,)
     assert np.isfinite(mlp.score(rep)).all()
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
+    # A step lands a sentence's 7-8 updates per span in pieces of at most
+    # _UPDATE_ROWS rows, so it never holds them all at once: its traced
+    # peak stays below the sentence's own (S, L) label-loss gradient.
+    tree = synthesize_corpus(1, seed=5, median_chars=122, min_chars=122,
+                             max_chars=122)[0]
+    chars = "".join(tree.leaves())
+    gold_char = to_char_tree(tree)
+    labels = build_vocab([gold_char]).labels
+    vocab = LabelVocab(labels + [f"X{k}" for k in range(165 - len(labels))])
+    dim = 1 << 12
+    rep = span_representation(chars, *span_bounds(len(chars)), dim)
+    if kind == "linear":
+        scorer = LinearScorer(dim, len(vocab))
+        scorer.register(np.concatenate([t.ravel() for t in rep.positions]))
+    else:
+        scorer = MLPHead(dim, len(vocab), hidden=64, dropout=0.0,
+                         rng=np.random.default_rng(1))
+    scores = SpanScores(len(chars), len(vocab), scorer.score(rep), validate=False)
+    loss = label_loss(scores, gold_span_labels(gold_char), vocab)
+    grad = scorer.backward(rep, loss.rows, loss.grad)
+    assert len(chars) == 122
+    gradient_bytes = loss.grad.nbytes
+    _, peak = traced_peak(lambda: scorer.sgd_step([grad], lr=0.1))
+    assert peak < gradient_bytes

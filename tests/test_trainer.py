@@ -8,12 +8,14 @@ import pytest
 
 from charspan.chartree import to_char_tree
 from charspan.scorers import MLPHead
-from charspan.scoring import build_vocab, score_spans
+from charspan.scoring import SpanRepresentation, build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
                               LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
                               TrainConfig, evaluate_dev, load_train_config,
                               parse_train_config, train)
+
+from memcheck import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,36 @@ def test_a_batch_holds_one_gradient_per_sentence():
             tracemalloc.stop()
     gradients = sum(spans) * num_labels * 8
     assert peaks[10] - peaks[1] < gradients
+
+
+def test_training_keeps_one_best_copy_of_the_weights():
+    # When dev F1 improves, the old best copy goes before the new one is
+    # made, so the table is held at most twice.  The corpus is many short
+    # sentences, so its table dominates every transient: the batch's
+    # gradients, one piece of updates, the trees and the position tables.
+    corpus = synthesize_corpus(320, seed=11, median_chars=4.0, max_chars=8)
+    config = TrainConfig(scorer="linear", learning_rate=0.5, batch_size=10,
+                         label_loss_epochs=2, max_epochs=4, seed=0)
+    history = []
+    ckpt, peak = traced_peak(lambda: train(corpus, corpus[:20], config, history))
+    f1 = [h["dev_parse_f1"] for h in history]
+    # epoch 1 makes the first copy; at least two later bests replace it
+    assert sum(f > max(f1[:k], default=-1.0) for k, f in enumerate(f1)) >= 3
+    table = ckpt.params["rows"].nbytes
+    assert peak < 2 * table + table // 2
+
+
+def test_training_keeps_no_id_matrices(tiny_corpus, monkeypatch):
+    # registering and backpropagating read the sentences' position tables;
+    # no (S, 8) id matrix of a whole sentence is built, or kept for the run
+    def no_ids(rep):
+        raise AssertionError("training read SpanRepresentation.ids")
+
+    monkeypatch.setattr(SpanRepresentation, "ids", property(no_ids))
+    for scorer in ("linear", "mlp"):
+        train(tiny_corpus, tiny_corpus,
+              TrainConfig(scorer=scorer, batch_size=4, label_loss_epochs=1,
+                          max_epochs=2, seed=0, mlp_hidden=8, feature_dim=1 << 10))
 
 
 def _stored_rows_sha256(ckpt, path):

@@ -149,6 +149,7 @@ def test_tree_walks_deeper_than_the_recursion_limit():
     stripped = strip_function_tags(tree)
     assert serialize_bracketed(stripped) == deep("IP", tokens)
     assert stripped == parse_bracketed(deep("IP", tokens))[0]
+    assert hash(stripped) == hash(parse_bracketed(deep("IP", tokens))[0])
     assert stripped != parse_bracketed(deep("IP", tokens[:-1] + ["嗯"]))[0]
     assert stripped != tree
 
