@@ -12,7 +12,8 @@ from .chartree import (CharTree, GoldSpanMap, WordSegmentation,
                        parse_char_trees, save_char_trees,
                        segmentation_of, serialize_char_tree, to_char_tree)
 from .decoder import (DecodeConfig, apply_masks, available_backends,
-                      brute_force_decode, cky_decode, tree_score)
+                      brute_force_decode, cky_decode, decode_sentence,
+                      tree_score)
 from .labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
 from .losses import LossValue, label_loss, tree_loss
 from .metrics import PRF, constituents, joint_report, parse_f1, seg_f1
@@ -41,6 +42,7 @@ __all__ = [
     "score_spans", "oracle_scores", "write_scores", "read_score_file",
     "LinearScorer", "MLPHead", "SentenceGradient",
     "DecodeConfig", "apply_masks", "available_backends", "cky_decode",
+    "decode_sentence",
     "brute_force_decode", "tree_score",
     "LossValue", "label_loss", "tree_loss",
     "PRF", "seg_f1", "parse_f1", "constituents", "joint_report",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chartree import (BAD_LEAF_CHARS, from_char_tree, load_char_trees,
                        save_char_trees, to_char_tree)
-from .decoder import DecodeConfig, cky_decode
+from .decoder import DecodeConfig, cky_decode, decode_sentence
 from .losses import MARGIN_MODES, SPAN_SETS
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
@@ -225,8 +225,7 @@ def _parsed_char_trees(args):
         scorer = checkpoint.build_scorer()
 
         def run(sentence: str):
-            scores = score_spans(scorer, sentence, vocab)
-            ct, _ = cky_decode(scores, vocab, decode_cfg, chars=sentence)
+            ct, _ = decode_sentence(scorer, sentence, vocab, decode_cfg)
             return ct
 
         yield from _map_maybe_parallel(run, _read_sentences(args.input), args.threads)
@@ -373,15 +372,19 @@ def cmd_bench(args) -> int:
         values = rng.uniform(-1.0, 1.0, (n * (n + 1) // 2, len(vocab)))
         return SpanScores(n, len(vocab), values, validate=False)
 
-    prepared = [make_scores(k, s) for k, s in enumerate(sentences)]
+    if args.include_scoring:
+        # each sentence is scored as it is decoded, and no scores are kept
+        items = sentences
 
-    def decode_one(item):
-        scores, sentence = item
-        if args.include_scoring:
-            scores = score_spans(scorer, sentence, vocab)
-        return cky_decode(scores, vocab, decode_cfg, chars=sentence)
+        def decode_one(sentence):
+            return decode_sentence(scorer, sentence, vocab, decode_cfg)
+    else:
+        items = [(make_scores(k, s), s) for k, s in enumerate(sentences)]
 
-    items = list(zip(prepared, sentences))
+        def decode_one(item):
+            scores, sentence = item
+            return cky_decode(scores, vocab, decode_cfg, chars=sentence)
+
     decode_one(items[0])  # warm up (imports, allocator)
     rates = []
     for rep in range(args.repeats):

@@ -18,6 +18,10 @@ No grammar couples a span's label to its children's labels, so
 ``cky_decode`` then backtraces the split chart top-down, reading each
 span's label from the packed argmax by its row.
 
+``decode_sentence`` decodes a sentence straight from a scorer, with the
+same three steps: the masked argmax runs on each chunk of scores as the
+scorer makes it, so the sentence's (n(n+1)/2, L) array is never held.
+
 Tie rule everywhere: smallest label id, then smallest split k (first
 maximum wins).  Every combined score associates as
 ``label_score + (left + right)``, which ``tree_score`` reproduces bitwise.
@@ -34,7 +38,9 @@ import numpy as np
 
 from .chartree import CharTree
 from .labels import is_char_label
-from .scoring import LabelVocab, SpanScores, iter_spans, span_bounds, span_row
+from . import scoring
+from .scoring import (LabelVocab, SpanScores, check_scored, iter_spans, score_spans,
+                      span_bounds, span_representation, span_row)
 
 PLACEHOLDER_CHAR = "□"
 
@@ -66,9 +72,10 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
     ``labels[k]`` is the first maximum of row k among the labels
     ``config`` allows on its span, and ``best[k]`` is its score.  With
     ``constrain_char_labels`` the "@1"-final labels are allowed on exactly
-    the length-1 spans; with ``require_nonnull_root`` "∅" is not allowed
-    on (0, n).  "∅" is never masked on non-root spans: it is how the
-    decoder marks spans that are not constituents.
+    the length-1 spans, so "∅" is masked on those spans too; with
+    ``require_nonnull_root`` "∅" is not allowed on (0, n).  Elsewhere "∅"
+    is allowed: it is how the decoder marks spans that are not
+    constituents.
 
     The scores are read in place: one argmax runs over all labels, and
     only the rows whose winner is masked off are copied and scanned again.
@@ -76,23 +83,48 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
     """
     if len(vocab) != scores.num_labels:
         raise ValueError("vocabulary size does not match score array")
-    values = scores.values
     n = scores.n
-    # usable[kind]: the labels allowed on a row of that kind, where the
-    # kind is 1 for a length-1 span plus 2 for the root span
+    labels, best, bad = _masked_argmax(scores.values, _row_kinds(n, 0, n),
+                                       _usable(vocab, config))
+    if bad >= 0:
+        raise _no_usable_label(n, bad)
+    return labels, best
+
+
+def _usable(vocab: LabelVocab, config: DecodeConfig) -> np.ndarray:
+    """``usable[kind]``, the labels ``config`` allows on a row of that kind,
+    where the kind is 1 for a length-1 span plus 2 for the root span."""
     usable = np.ones((4, len(vocab)), dtype=bool)
     if config.constrain_char_labels:
         usable[[0, 2]] = ~vocab.char_final
         usable[[1, 3]] = vocab.char_final
     if config.require_nonnull_root:
         usable[2:, vocab.null_id] = False
-    kind = np.zeros(len(values), dtype=np.intp)
-    starts = np.arange(n)
-    kind[span_row(n, starts, starts + 1)] = 1
-    kind[span_row(n, 0, n)] += 2
+    return usable
+
+
+def _row_kinds(n: int, p0: int, p1: int) -> np.ndarray:
+    """The kind of each packed row of the spans that start at p0, ...,
+    p1 - 1 of an n-character sentence, as ``_usable`` numbers them."""
+    starts = np.arange(p0, p1 + 1)
+    first = span_row(n, starts, starts + 1)  # (p, p + 1) starts the block of p
+    kind = np.zeros(first[-1] - first[0], dtype=np.intp)
+    kind[first[:-1] - first[0]] = 1
+    if p0 == 0:
+        kind[n - 1] += 2  # (0, n) ends the block of 0
+    return kind
+
+
+def _masked_argmax(values: np.ndarray, kind: np.ndarray,
+                   usable: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(labels, best, bad)`` of the score rows ``values`` of kinds
+    ``kind``: the first maximum of each row among its usable labels, its
+    score, and the first row left with no finite usable score (-1 for
+    none).  A usable winner of the unmasked argmax is already the first
+    maximum among the usable labels, so only the other rows are copied
+    and scanned again."""
     labels = values.argmax(axis=1)
     best = values[np.arange(len(values)), labels]
-    # a usable winner is already the first maximum among the usable labels
     redo = np.flatnonzero(~usable[kind, labels])
     if len(redo):
         masked = values.take(redo, axis=0)
@@ -101,12 +133,15 @@ def apply_masks(scores: SpanScores, vocab: LabelVocab,
         best[redo] = masked[np.arange(len(redo)), labels[redo]]
     odd = np.flatnonzero(~np.isfinite(best))
     if len(odd):
-        bad = ~(np.isfinite(values[odd]) & usable[kind[odd]]).any(axis=1)
-        if bad.any():
-            si, sj = span_bounds(n)
-            k = odd[np.argmax(bad)]
-            raise ValueError(f"masking left span ({si[k]}, {sj[k]}) with no usable label")
-    return labels, best
+        unusable = ~(np.isfinite(values[odd]) & usable[kind[odd]]).any(axis=1)
+        if unusable.any():
+            return labels, best, int(odd[np.argmax(unusable)])
+    return labels, best, -1
+
+
+def _no_usable_label(n: int, row: int) -> ValueError:
+    si, sj = span_bounds(n)
+    return ValueError(f"masking left span ({si[row]}, {sj[row]}) with no usable label")
 
 
 def fill_chart(best: np.ndarray, n: int) -> tuple[float, np.ndarray]:
@@ -156,6 +191,64 @@ def cky_decode(scores: SpanScores, vocab: LabelVocab,
     total, split = fill_chart(best, n)
     if chars is None:
         chars = PLACEHOLDER_CHAR * n
+    return _backtrace(vocab, labels, split, chars), total
+
+
+def decode_sentence(scorer, chars: Sequence[str], vocab: LabelVocab,
+                    config: DecodeConfig | None = None) -> tuple[CharTree, float]:
+    """``cky_decode(score_spans(scorer, chars, vocab), vocab, config,
+    chars=chars)``, bit for bit and with the same errors, without the
+    sentence's (n(n+1)/2, L) score array.
+
+    The features are hashed once.  Then whole blocks of spans with one
+    start are scored, a few blocks at a time, into one buffer of at most
+    ``scoring._CHUNK_VALUES`` values (or of the first block, if that is
+    bigger); each chunk is checked to be finite and reduced by the masked
+    label argmax into the sentence's per-span ``labels`` and ``best``.
+    A span's label does not depend on its split, so the split DP and the
+    backtrace then run on those alone.  Beside the model, memory is the
+    O(n^2) per-span arrays and chart, the scorer's O(n) per-position rows
+    and one chunk.
+
+    A sentence whose whole array is no bigger than one chunk is scored and
+    decoded as that array, by ``score_spans`` and ``cky_decode``: the same
+    steps in one chunk, under the names a caller tracing the layers knows.
+    """
+    if scorer.num_labels != len(vocab):
+        raise ValueError(f"scorer produces {scorer.num_labels} labels, "
+                         f"vocabulary has {len(vocab)}")
+    if config is None:
+        config = DecodeConfig()
+    n = len(chars)
+    num_spans = n * (n + 1) // 2
+    if num_spans * len(vocab) <= scoring._CHUNK_VALUES:
+        return cky_decode(score_spans(scorer, chars, vocab), vocab, config, chars=chars)
+    rep = span_representation(chars, *span_bounds(n), scorer.dim)
+    usable = _usable(vocab, config)
+    cap = max(1, scoring._CHUNK_VALUES // len(vocab))  # rows per chunk
+    buffer = np.empty((min(max(cap, n), num_spans), len(vocab)))
+    labels = np.empty(num_spans, dtype=np.intp)
+    best = np.empty(num_spans)
+    blocks = scorer.start_blocks(rep)
+    bad = -1
+    p0 = r0 = 0
+    while p0 < n:
+        # the block of start p has n - p rows: one block at least (the
+        # first is the biggest), then as many more as fit
+        p1, r1 = p0 + 1, r0 + n - p0
+        while p1 < n and r1 + n - p1 - r0 <= cap:
+            p1, r1 = p1 + 1, r1 + n - p1
+        rows = blocks(p0, p1, buffer)
+        check_scored(rows, n, r0)
+        labels[r0:r1], best[r0:r1], chunk_bad = _masked_argmax(
+            rows, _row_kinds(n, p0, p1), usable)
+        if bad < 0 <= chunk_bad:
+            bad = r0 + chunk_bad
+        p0, r0 = p1, r1
+    del blocks, buffer, rows
+    if bad >= 0:  # after every chunk, so a non-finite score is reported first
+        raise _no_usable_label(n, bad)
+    total, split = fill_chart(best, n)
     return _backtrace(vocab, labels, split, chars), total
 
 

@@ -13,7 +13,11 @@ where the id matrix would take 8 per span.  Either way every span's rows
 are added in one order, ``_gather_sum``'s: from +0.0, then L, B, E, R,
 LB, ER, then S only where the span has one (skipped, never added as a
 zero), then W.  So a sentence's batch scores every span bit for bit like
-the span alone, sign of zero included.
+the span alone, sign of zero included.  ``start_blocks(rep)`` gathers
+the rows of a sentence's positions once and returns a function that
+scores the spans starting at p0, ..., p1 - 1 into a caller's buffer, so a
+decoder can score a sentence a few start blocks at a time; ``score`` is
+that over all starts, into an (n(n+1)/2, L) array.
 
 Training goes one sentence at a time.  ``backward(rep, rows, grad, cache)``
 takes a loss's gradient for the packed score ``rows`` of one sentence and
@@ -29,11 +33,12 @@ sentence and however many the labels.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .scoring import PositionIds, SpanRepresentation
+from .scoring import PositionIds, SpanRepresentation, span_row
 
 _UPDATE_ROWS = 1024  # most update rows in one np.subtract.at, 8 per span
 
@@ -68,35 +73,51 @@ def _rows_at(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sentence_sum(table: np.ndarray, at: PositionIds) -> np.ndarray:
-    """Every span of a sentence, in packed row order: the ``table`` rows
-    of its features added as ``_gather_sum`` adds them.
+class PositionRows(NamedTuple):
+    """The ``table`` rows of a sentence's position features, gathered once
+    (``PositionIds`` layout, a +0.0 row for id -1), which every span's
+    sum reads from: ``first`` is L + B of each start, added from +0.0."""
 
-    ``at`` gives the table row of each position's features, in
-    ``PositionIds`` layout, -1 for a +0.0 row.  The spans that start at p
-    take consecutive packed rows and end at p + 1, ..., n, so each
-    start-indexed feature adds one row to the block and each end-indexed
-    one the slice [p, n - 1] of its per-position rows: no per-span gather.
+    first: np.ndarray       # (n, W)
+    left_begin: np.ndarray  # (n, W)
+    end: np.ndarray         # (n, W)
+    right: np.ndarray       # (n, W)
+    end_right: np.ndarray   # (n, W)
+    short: np.ndarray       # (4, n, W); rows past the sentence's end are never read
+    width: np.ndarray       # (n, W), width w at w - 1
+
+    @classmethod
+    def gather(cls, table: np.ndarray, at: PositionIds) -> "PositionRows":
+        left, begin, left_begin = _rows_at(table, at.by_start)
+        end, right, end_right = _rows_at(table, at.by_end)
+        first = left + 0.0  # the sum starts from +0.0, which makes -0.0 +0.0
+        first += begin
+        return cls(first, left_begin, end, right, end_right,
+                   _rows_at(table, at.by_short), _rows_at(table, at.by_width[1:]))
+
+
+def _sentence_sum(rows: PositionRows, p0: int, p1: int, out: np.ndarray) -> np.ndarray:
+    """The spans that start at p0, ..., p1 - 1, in packed row order: their
+    features' rows added as ``_gather_sum`` adds them, written to the first
+    rows of ``out`` and returned as that view.
+
+    The spans that start at p take consecutive packed rows and end at
+    p + 1, ..., n, so each start-indexed feature adds one row to the block
+    and each end-indexed one the slice [p, n - 1] of its per-position
+    rows: no per-span gather.
     """
-    n = at.by_start.shape[1]
-    left, begin, left_begin = _rows_at(table, at.by_start)
-    end, right, end_right = _rows_at(table, at.by_end)
-    short = _rows_at(table, at.by_short)  # rows past the sentence's end are never read
-    width = _rows_at(table, at.by_width)
-    first = left + 0.0  # the sum starts from +0.0, which makes -0.0 +0.0
-    first += begin
-    out = np.empty((n * (n + 1) // 2, table.shape[1]))
+    n = len(rows.first)
     row = 0
-    for p in range(n):
+    for p in range(p0, p1):
         block = out[row:row + n - p]
-        np.add(first[p], end[p:], out=block)
-        block += right[p:]
-        block += left_begin[p]
-        block += end_right[p:]
-        block[:4] += short[:n - p, p]  # S of widths 1-4 that fit
-        block += width[1:n - p + 1]
+        np.add(rows.first[p], rows.end[p:], out=block)
+        block += rows.right[p:]
+        block += rows.left_begin[p]
+        block += rows.end_right[p:]
+        block[:4] += rows.short[:n - p, p]  # S of widths 1-4 that fit
+        block += rows.width[:n - p]
         row += n - p
-    return out
+    return out[:row]
 
 
 class SentenceGradient(NamedTuple):
@@ -204,8 +225,17 @@ class LinearScorer:
     def score(self, rep: SpanRepresentation) -> np.ndarray:
         if rep.positions is None:
             return _gather_sum(self.rows, self._positions(rep.ids))
-        rows = PositionIds(*map(self._positions, rep.positions))
-        return _sentence_sum(self.rows, rows)
+        n = rep.positions.by_start.shape[1]
+        return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
+
+    def start_blocks(self, rep: SpanRepresentation):
+        """A function ``(p0, p1, out)`` that writes the scores of the spans
+        that start at p0, ..., p1 - 1 of the sentence ``rep`` holds with
+        its position tables, in packed row order, to the first rows of
+        ``out`` and returns that view.  The rows it reads are gathered
+        once, here."""
+        at = PositionIds(*map(self._positions, rep.positions))
+        return partial(_sentence_sum, PositionRows.gather(self.rows, at))
 
     def score_train(self, rep: SpanRepresentation, rng) -> tuple[np.ndarray, None]:
         # No dropout in the linear model; train scoring equals inference.
@@ -297,19 +327,48 @@ class MLPHead:
     def _pre_hidden(self, rep: SpanRepresentation) -> np.ndarray:
         if rep.positions is None:
             return _gather_sum(self.W1, rep.ids) + self.b1
-        return _sentence_sum(self.W1, rep.positions) + self.b1
+        n = rep.positions.by_start.shape[1]
+        rows = PositionRows.gather(self.W1, rep.positions)
+        pre = _sentence_sum(rows, 0, n, np.empty((n * (n + 1) // 2, self.hidden)))
+        pre += self.b1
+        return pre
 
-    def _output(self, h: np.ndarray) -> np.ndarray:
+    def _output(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """h W2 + b2; a batch is written to the first rows of ``out`` (by
+        default a new array), which are returned."""
         if h.ndim == 1:
             return h @ self.W2 + self.b2
+        out = np.empty((len(h), self.num_labels)) if out is None else out[:len(h)]
         # one product per span: a batched H @ W2 need not round like h @ W2
-        out = np.empty((len(h), self.num_labels))
         for row, hidden in zip(out, h):
             row[:] = hidden @ self.W2
-        return out + self.b2
+        out += self.b2
+        return out
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        return self._output(np.maximum(self._pre_hidden(rep), 0.0))
+        if rep.positions is None:
+            return self._output(np.maximum(self._pre_hidden(rep), 0.0))
+        n = rep.positions.by_start.shape[1]
+        return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
+
+    def start_blocks(self, rep: SpanRepresentation):
+        """A function ``(p0, p1, out)`` that writes the scores of the spans
+        that start at p0, ..., p1 - 1 of the sentence ``rep`` holds with
+        its position tables, in packed row order, to the first rows of
+        ``out`` and returns that view.  The ``W1`` rows it reads are
+        gathered once, here."""
+        rows = PositionRows.gather(self.W1, rep.positions)
+        n = len(rows.first)
+
+        def scores(p0: int, p1: int, out: np.ndarray) -> np.ndarray:
+            # the spans (p, p + 1) start the blocks of p0 and p1 (row S for p1 = n)
+            size = span_row(n, p1, p1 + 1) - span_row(n, p0, p0 + 1)
+            h = _sentence_sum(rows, p0, p1, np.empty((size, self.hidden)))
+            h += self.b1
+            np.maximum(h, 0.0, out=h)
+            return self._output(h, out)
+
+        return scores
 
     def score_train(self, rep: SpanRepresentation,
                     rng: np.random.Generator) -> tuple[np.ndarray, dict]:

@@ -327,13 +327,21 @@ def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
         rows, _ = scorer.score_train(rep, rng)
     else:
         rows = scorer.score(rep)
+    check_scored(rows, n)
+    return SpanScores(n, len(vocab), rows, validate=False)
+
+
+def check_scored(rows: np.ndarray, n: int, first_row: int = 0) -> None:
+    """Raise ValueError naming the first span, in row order, with a
+    non-finite score among ``rows``, the packed rows of an n-character
+    sentence from ``first_row`` on."""
     # min and max are NaN or infinite when any value is, and make no
     # (S, L) temporary; the first bad span is located only on failure
     if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-        k = int((~np.isfinite(rows).all(axis=1)).argmax())
+        k = first_row + int((~np.isfinite(rows).all(axis=1)).argmax())
+        starts, ends = span_bounds(n)
         raise ValueError(f"scorer produced non-finite values at span "
                          f"({starts[k]}, {ends[k]})")
-    return SpanScores(n, len(vocab), rows, validate=False)
 
 
 def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:

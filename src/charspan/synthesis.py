@@ -68,7 +68,13 @@ def _generate_tree(rng: np.random.Generator, target_chars: int) -> SyntaxTree:
 def synthesize_corpus(num_sentences: int, seed: int = 0,
                       median_chars: float = 16.0, sigma: float = 0.5,
                       min_chars: int = 3, max_chars: int = 120) -> Corpus:
-    """A seeded corpus of ``num_sentences`` random CTB-style trees."""
+    """A seeded corpus of ``num_sentences`` random CTB-style trees.
+
+    Each sentence draws a target length, clipped to [min_chars,
+    max_chars], and takes whole words until it has at least that many
+    characters.  Its last word (up to 5 characters) and an optional
+    punctuation mark can take it past the target, up to max_chars + 5.
+    """
     if num_sentences < 1:
         raise ValueError("need at least one sentence")
     rng = np.random.default_rng(seed)
@@ -81,6 +87,8 @@ def synthesize_corpus(num_sentences: int, seed: int = 0,
 
 
 def synthesize_bench_corpus(num_sentences: int = 348, seed: int = 7) -> Corpus:
-    """Newswire-shaped lengths: lognormal, median ~27 chars, clipped [3, 120]."""
+    """Newswire-shaped lengths: lognormal, median ~27 chars.  Targets are
+    clipped to [3, 120], so sentences have 3 to 125 characters (see
+    ``synthesize_corpus``)."""
     return synthesize_corpus(num_sentences, seed, median_chars=27.0,
                              sigma=0.55, min_chars=3, max_chars=120)

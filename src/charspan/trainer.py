@@ -21,12 +21,14 @@ import numpy as np
 
 from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
                        to_char_tree)
-from .decoder import DecodeConfig, cky_decode
+# cky_decode stays bound here: perfbench/test_prepare.py checks that the
+# benchmark's tracer wraps it under this name too
+from .decoder import DecodeConfig, cky_decode, decode_sentence  # noqa: F401
 from .losses import MARGIN_MODES, SPAN_SETS, label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
 from .scorers import LinearScorer, MLPHead, check_keys
 from .scoring import (LabelVocab, SpanScores, build_vocab, span_bounds,
-                      span_representation, score_spans)
+                      span_representation)
 
 FEATURE_SCORER_LEARNING_RATE = 0.1
 
@@ -255,8 +257,7 @@ def _decode_corpus(scorer, vocab: LabelVocab, trees, decode_cfg: DecodeConfig):
     pred_segs = []
     for tree in trees:
         chars = "".join(tree.leaves())
-        scores = score_spans(scorer, chars, vocab)
-        ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
+        ct, _ = decode_sentence(scorer, chars, vocab, decode_cfg)
         ptree, pseg = from_char_tree(ct)
         pred_trees.append(ptree)
         pred_segs.append(pseg)

@@ -15,7 +15,7 @@ import pytest
 from charspan import cli
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import NULL_LABEL
-from charspan.scorers import MLPHead
+from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
                               write_scores)
 from charspan.synthesis import synthesize_corpus
@@ -436,18 +436,26 @@ def test_failing_parse_leaves_no_output_and_no_temporary_file(workdir, checkpoin
     out = tmp_path / "out"
     out.mkdir()
     (out / "trees.txt").write_text("old trees\n", encoding="utf-8")
-    scored = (["--checkpoint", str(checkpoint)] if source == "checkpoint"
-              else ["--score-file", str(workdir / "scores.txt")])
-    decode = cli.cky_decode
     decoded = []
+    if source == "checkpoint":
+        scored = ["--checkpoint", str(checkpoint)]
+        name = "decode_sentence"
 
-    def counting_decode(scores, *args, **kwargs):
-        decoded.append(scores.n)
-        return decode(scores, *args, **kwargs)
+        def counting_decode(scorer, chars, *args, **kwargs):
+            decoded.append(len(chars))
+            return decode(scorer, chars, *args, **kwargs)
+    else:
+        scored = ["--score-file", str(workdir / "scores.txt")]
+        name = "cky_decode"
+
+        def counting_decode(scores, *args, **kwargs):
+            decoded.append(scores.n)
+            return decode(scores, *args, **kwargs)
+    decode = getattr(cli, name)
 
     for output in (str(out / "trees.txt"), "-"):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "cky_decode", counting_decode)
+            patch.setattr(cli, name, counting_decode)
             code = cli.main(["parse", *scored, "--input", str(bad), "--output", output,
                              "--segs", str(out / "segs.txt"),
                              "--char-trees", str(out / "chars.txt")])
@@ -644,6 +652,31 @@ def test_bench_with_checkpoint_scoring(workdir, checkpoint):
                 "--checkpoint", str(checkpoint), "--include-scoring")
     assert r.returncode == 0, r.stderr
     assert "include_scoring=true" in r.stdout
+
+
+def test_bench_scores_each_sentence_once_per_decode(workdir, checkpoint, monkeypatch,
+                                                    capsys):
+    # --include-scoring scores a sentence inside each timed decode and
+    # keeps no score arrays; without it, each sentence is scored once, up
+    # front.  A scorer gathers a sentence's rows once per scoring, whether
+    # it is scored whole (score) or in chunks.
+    start_blocks = LinearScorer.start_blocks
+    scored = []
+
+    def counted(self, rep):
+        scored.append(rep.positions.by_start.shape[1])
+        return start_blocks(self, rep)
+
+    monkeypatch.setattr(LinearScorer, "start_blocks", counted)
+    bench = ["bench", str(workdir / "gold.txt"), "--repeats", "2",
+             "--checkpoint", str(checkpoint)]
+    lengths = [len("".join(t.leaves())) for t in load_corpus(workdir / "gold.txt")]
+    assert cli.main([*bench, "--include-scoring"]) == 0
+    assert scored == lengths[:1] + lengths * 2  # the warm-up, then two repeats
+    scored.clear()
+    assert cli.main(bench) == 0
+    assert scored == lengths
+    assert "include_scoring=false" in capsys.readouterr().out
 
 
 def test_missing_file_is_data_error(tmp_path):

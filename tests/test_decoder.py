@@ -11,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from charspan.chartree import (gold_span_labels, parse_char_trees,
                                serialize_char_tree, to_char_tree)
+from charspan import scoring
 from charspan.decoder import (DecodeConfig, PLACEHOLDER_CHAR, apply_masks,
                               available_backends, brute_force_decode,
-                              cky_decode, fill_chart, tree_score,
+                              cky_decode, decode_sentence, fill_chart, tree_score,
                               _enumerate_trees, _masked_copy, _span_argmax)
 from charspan.labels import NULL_LABEL, is_char_label
+from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
-                              iter_spans, oracle_scores, span_row)
+                              iter_spans, oracle_scores, score_spans,
+                              span_bounds, span_representation, span_row)
 from charspan.treebank import parse_bracketed
 from memcheck import traced_peak
 
@@ -163,6 +166,22 @@ def test_mask_constrain_char_labels():
     assert (relaxed[wider] == VOCAB.index["@1"]).all()
     # originals are untouched
     assert np.array_equal(scores.values, before)
+
+
+def test_null_is_masked_on_width_one_spans():
+    # with constrain_char_labels a length-1 span takes only "@1"-final
+    # labels, so "∅" is masked there even though it scores highest
+    vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
+    scores = SpanScores(2, len(vocab))
+    width1 = [span_row(2, 0, 1), span_row(2, 1, 2)]
+    scores.values[width1] = [9.0, 1.0, 0.0]
+    labels, best = apply_masks(scores, vocab, DecodeConfig())
+    assert (labels[width1] == vocab.index["@1"]).all() and (best[width1] == 1.0).all()
+    assert (_masked_copy(scores, vocab, DecodeConfig()).values[width1, 0] == -np.inf).all()
+    tree, _ = cky_decode(scores, vocab)
+    assert tree.left.label == tree.right.label == "@1"
+    relaxed, _ = apply_masks(scores, vocab, DecodeConfig(constrain_char_labels=False))
+    assert (relaxed[width1] == vocab.index[NULL_LABEL]).all()
 
 
 def test_mask_nonnull_root():
@@ -356,3 +375,161 @@ def test_decoded_output_is_pinned(kind):
         tree, total = cky_decode(chart_of(rows, n), VOCAB)
         digest.update(f"{serialize_char_tree(tree)} {float.hex(total)}\n".encode())
     assert digest.hexdigest() == PINNED_DECODES[kind]
+
+
+# --- decode_sentence: a scorer's sentence decoded one chunk at a time ----
+
+SENTENCE_VOCAB = LabelVocab([NULL_LABEL, "@1", "NN+@1", "NN", "@2", "VP", "IP+NP",
+                             *(f"X{k}" for k in range(5))])
+CONFIGS = [DecodeConfig(chars, root) for chars in (True, False) for root in (True, False)]
+# _CHUNK_VALUES as it is, one start block per chunk, and one chunk per
+# sentence (which decode_sentence hands to score_spans and cky_decode)
+CHUNKINGS = {"default": None, "one block": 1, "one chunk": 1 << 62}
+
+
+def sentence_scorers(num_labels: int, dim: int = 1 << 9) -> dict:
+    """A linear scorer with colliding ids and -0.0 weights, an MLP, and an
+    MLP whose every score is 0.0 (relu leaves no hidden unit on), so every
+    label and every split ties."""
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(dim // 2, num_labels))
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    zero = {"W1": rng.normal(size=(dim, 8)), "b1": np.full(8, -100.0),
+            "W2": rng.normal(size=(8, num_labels)), "b2": np.zeros(num_labels)}
+    return {"linear": LinearScorer(dim, num_labels, keys=np.arange(0, dim, 2), rows=rows),
+            "mlp": MLPHead(dim, num_labels, hidden=16, dropout=0.0,
+                           rng=np.random.default_rng(num_labels)),
+            "mlp-ties": MLPHead(dim, num_labels, hidden=8, dropout=0.0, params=zero)}
+
+
+def set_chunking(monkeypatch, chunking: str) -> None:
+    if CHUNKINGS[chunking] is not None:
+        monkeypatch.setattr(scoring, "_CHUNK_VALUES", CHUNKINGS[chunking])
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_decode_sentence_equals_scoring_then_decoding(monkeypatch, chunking):
+    # trees and totals bit for bit, sign of zero included, on every mask
+    # configuration and however the sentence is cut into chunks
+    set_chunking(monkeypatch, chunking)
+    rng = np.random.default_rng(29)
+    scorers = sentence_scorers(len(SENTENCE_VOCAB))
+    for n in [*range(1, 41), 300]:
+        chars = "".join(rng.choice(list("好中国人的了")) for _ in range(n))
+        for name, scorer in scorers.items():
+            scores = score_spans(scorer, chars, SENTENCE_VOCAB)
+            for config in CONFIGS:
+                want, want_total = cky_decode(scores, SENTENCE_VOCAB, config, chars=chars)
+                got, total = decode_sentence(scorer, chars, SENTENCE_VOCAB, config)
+                assert got == want, (n, name, config)
+                assert float.hex(total) == float.hex(want_total), (n, name, config)
+
+
+@pytest.mark.parametrize("chunk_values", [1, 100, 1 << 16, 1 << 62])
+def test_decode_sentence_scores_whole_start_blocks_into_one_buffer(monkeypatch,
+                                                                    chunk_values):
+    monkeypatch.setattr(scoring, "_CHUNK_VALUES", chunk_values)
+    num_labels = len(SENTENCE_VOCAB)
+    cap = max(1, chunk_values // num_labels)
+    scorer = sentence_scorers(num_labels)["linear"]
+    start_blocks = scorer.start_blocks
+    calls = []
+
+    def recording(rep):
+        blocks = start_blocks(rep)
+
+        def record(p0, p1, out):
+            calls.append((p0, p1, out))
+            return blocks(p0, p1, out)
+
+        return record
+
+    monkeypatch.setattr(scorer, "start_blocks", recording)
+    for n in (1, 2, 7, 300):
+        calls.clear()
+        decode_sentence(scorer, "好中国人的了"[:3] * n, SENTENCE_VOCAB)
+        # the chunks tile the starts in order, all in one buffer of at most
+        # _CHUNK_VALUES values, or of the first start block if that is bigger
+        assert [p0 for p0, _, _ in calls] == [0, *(p1 for _, p1, _ in calls[:-1])]
+        assert calls[-1][1] == 3 * n
+        buffer = calls[0][2]
+        assert all(out is buffer for _, _, out in calls)
+        assert buffer.size <= max(chunk_values, 3 * n * num_labels)
+        for p0, p1, _ in calls:
+            size = span_row(3 * n, p1, p1 + 1) - span_row(3 * n, p0, p0 + 1)
+            # one block, or whole blocks that fit; and the next would not
+            assert p1 == p0 + 1 or size <= cap
+            assert p1 == 3 * n or size + 3 * n - p1 > cap
+        if chunk_values == 1:
+            assert len(calls) == 3 * n
+        if chunk_values == 1 << 62:
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_decode_sentence_names_the_first_nonfinite_span(monkeypatch, chunking):
+    # two bad width-1 spans late in a 300-character sentence: the message
+    # names the first in row order, as scoring the whole sentence does
+    set_chunking(monkeypatch, chunking)
+    chars = "".join(np.random.default_rng(3).choice(list("中国人的了"), 300))
+    chars = chars[:250] + "好" + chars[251:280] + "坏" + chars[281:]
+    dim = 1 << 20
+    # the ids of the "S:好" and "S:坏" features, which only those spans have
+    keys = sorted(int(span_representation(chars, p, p + 1, dim).ids[6]) for p in (250, 280))
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.zeros((2, len(SENTENCE_VOCAB)))
+        rows[:, 3] = bad
+        scorer = LinearScorer(dim, len(SENTENCE_VOCAB), keys=keys, rows=rows)
+        with pytest.raises(ValueError) as want:
+            score_spans(scorer, chars, SENTENCE_VOCAB)
+        assert str(want.value) == "scorer produced non-finite values at span (250, 251)"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            decode_sentence(scorer, chars, SENTENCE_VOCAB)
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_decode_sentence_reports_a_nonfinite_score_before_a_masked_span(monkeypatch,
+                                                                       chunking):
+    # a vocabulary with no "@1"-final label leaves every length-1 span with
+    # no usable label; a non-finite score anywhere is still reported first
+    set_chunking(monkeypatch, chunking)
+    vocab = LabelVocab([NULL_LABEL, "NN", "VP"])
+    chars = "中国人的了" * 60
+    dim = 1 << 20
+    key = int(span_representation(chars, 299, 300, dim).ids[-1])  # W:1, every width-1 span
+    scorer = LinearScorer(dim, len(vocab), keys=[key], rows=[[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^masking left span \(0, 1\) with no usable label$"):
+        decode_sentence(scorer, chars, vocab)
+    with pytest.raises(ValueError, match=r"^masking left span \(0, 1\)"):
+        cky_decode(score_spans(scorer, chars, vocab), vocab)
+    late = chars[:290] + "好" + chars[291:]
+    key = int(span_representation(late, 290, 291, dim).ids[6])  # S:好
+    scorer = LinearScorer(dim, len(vocab), keys=[key], rows=[[0.0, np.inf, 0.0]])
+    message = r"^scorer produced non-finite values at span \(290, 291\)$"
+    with pytest.raises(ValueError, match=message):
+        score_spans(scorer, late, vocab)
+    with pytest.raises(ValueError, match=message):
+        decode_sentence(scorer, late, vocab)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_decode_sentence_holds_no_sentence_sized_score_array(kind):
+    # 600 characters at L = 165: the (S, L) scores would take 238 MB
+    n, num_labels = 600, 165
+    vocab = LabelVocab([NULL_LABEL, "@1", "@2", *(f"X{k}" for k in range(num_labels - 3))])
+    rng = np.random.default_rng(7)
+    chars = "".join(chr(0x4E00 + int(k)) for k in rng.integers(0, 400, n))
+    if kind == "linear":
+        dim = 1 << 20
+        positions = span_representation(chars, *span_bounds(n), dim).positions
+        keys = np.unique(np.concatenate([table.ravel() for table in positions]))
+        keys = keys[keys >= 0]
+        scorer = LinearScorer(dim, num_labels, keys=keys,
+                              rows=rng.normal(size=(len(keys), num_labels)))
+    else:
+        scorer = MLPHead(1 << 12, num_labels, hidden=16, dropout=0.0, rng=rng)
+    decode_sentence(scorer, chars[:30], vocab)  # warm caches
+    (tree, _), peak = traced_peak(lambda: decode_sentence(scorer, chars, vocab))
+    assert tree.span == (0, n)
+    score_bytes = n * (n + 1) // 2 * num_labels * 8
+    assert peak < score_bytes / 4, (peak, score_bytes)
