@@ -200,11 +200,14 @@ def decode_sentence(scorer, chars: Sequence[str], vocab: LabelVocab,
     chars=chars)``, bit for bit and with the same errors, without the
     sentence's (n(n+1)/2, L) score array.
 
-    The features are hashed once.  Then whole blocks of spans with one
-    start are scored, a few blocks at a time, into one buffer of at most
-    ``scoring._CHUNK_VALUES`` values (or of the first block, if that is
-    bigger); each chunk is checked to be finite and reduced by the masked
-    label argmax into the sentence's per-span ``labels`` and ``best``.
+    The sentence's features are hashed once, into its position id tables
+    (``span_representation``), and the scorer gathers the weight rows of
+    those positions once (``start_blocks``).  Then whole blocks of spans
+    with one start are scored, a few blocks at a time, into one buffer of
+    at most ``scoring._CHUNK_VALUES`` values (or of the first block, if
+    that is bigger); each chunk is checked to be finite and reduced by the
+    masked label argmax into the sentence's per-span ``labels`` and
+    ``best``.
     A span's label does not depend on its split, so the split DP and the
     backtrace then run on those alone.  Beside the model, memory is the
     O(n^2) per-span arrays and chart, the scorer's O(n) per-position rows
@@ -223,7 +226,7 @@ def decode_sentence(scorer, chars: Sequence[str], vocab: LabelVocab,
     num_spans = n * (n + 1) // 2
     if num_spans * len(vocab) <= scoring._CHUNK_VALUES:
         return cky_decode(score_spans(scorer, chars, vocab), vocab, config, chars=chars)
-    rep = span_representation(chars, *span_bounds(n), scorer.dim)
+    rep = span_representation(chars, scorer.dim)
     usable = _usable(vocab, config)
     cap = max(1, scoring._CHUNK_VALUES // len(vocab))  # rows per chunk
     buffer = np.empty((min(max(cap, n), num_spans), len(vocab)))

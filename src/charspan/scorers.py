@@ -1,34 +1,33 @@
 """Trainable span scorers over hashed span features.
 
-Both scorers map a SpanRepresentation (a bag of feature ids) to one score
-per label, or an (S, 8) id matrix to an (S, L) score array in one batch.
-``LinearScorer`` is a hashed linear model whose weights live in a compact
-table keyed by hashed id; ``MLPHead`` is a two-layer perceptron with a
-rectifier and inverted dropout, so the inference path needs no rescaling.
+Both scorers map a ``SpanRepresentation``, the position id tables of all
+spans of one sentence, to an (n(n+1)/2, L) score array in packed row
+order.  ``LinearScorer`` is a hashed linear model whose weights live in a
+compact table keyed by hashed id; ``MLPHead`` is a two-layer perceptron
+with a rectifier and inverted dropout, so the inference path needs no
+rescaling.
 
-A representation of all spans of a sentence carries per-position id
-tables (``PositionIds``), and a batch forward reads its rows from those:
+A forward pass gathers the table rows of the sentence's positions once:
 one table row per position and feature, about 12n rows for n characters,
-where the id matrix would take 8 per span.  Either way every span's rows
-are added in one order, ``_gather_sum``'s: from +0.0, then L, B, E, R,
-LB, ER, then S only where the span has one (skipped, never added as a
-zero), then W.  So a sentence's batch scores every span bit for bit like
-the span alone, sign of zero included.  ``start_blocks(rep)`` gathers
-the rows of a sentence's positions once and returns a function that
-scores the spans starting at p0, ..., p1 - 1 into a caller's buffer, so a
-decoder can score a sentence a few start blocks at a time; ``score`` is
-that over all starts, into an (n(n+1)/2, L) array.
+where an id matrix would take 8 per span.  ``_sentence_sum`` then adds
+every span's rows in one order: from +0.0, then L, B, E, R, LB, ER, then
+S only where the span has one (skipped, never added as a zero), then W.
+So every span is scored bit for bit like its own rows added one by one,
+sign of zero included.  ``start_blocks(rep)`` gathers the rows once and
+returns a function that scores the spans starting at p0, ..., p1 - 1
+into a caller's buffer, so a decoder can score a sentence a few start
+blocks at a time; ``score`` is that over all starts.
 
 Training goes one sentence at a time.  ``backward(rep, rows, grad, cache)``
 takes a loss's gradient for the packed score ``rows`` of one sentence and
-returns a ``SentenceGradient``, with the ids of those rows' spans built from
-the position tables: nothing keeps a sentence's id matrix.  ``sgd_step``
-applies a batch of them, one sentence after another in batch order, and
-within a sentence span by span and feature by feature, the order every
-weight's updates round in.  A sentence's updates land in pieces of at most
-``_UPDATE_ROWS`` rows, one ``np.subtract.at`` each, so a step holds no
-more than one piece beside the sentence's gradient, however long the
-sentence and however many the labels.
+returns a ``SentenceGradient``, with the ids of those rows' spans read
+from the position tables: nothing keeps a sentence's id matrix.
+``sgd_step`` applies a batch of them, one sentence after another in batch
+order, and within a sentence span by span and feature by feature, the
+order every weight's updates round in.  A sentence's updates land in
+pieces of at most ``_UPDATE_ROWS`` rows, one ``np.subtract.at`` each, so a
+step holds no more than one piece beside the sentence's gradient, however
+long the sentence and however many the labels.
 """
 
 from __future__ import annotations
@@ -41,26 +40,6 @@ import numpy as np
 from .scoring import PositionIds, SpanRepresentation, span_row
 
 _UPDATE_ROWS = 1024  # most update rows in one np.subtract.at, 8 per span
-
-
-def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Per span, the ``table`` rows at its ids added one by one in feature
-    order, starting from +0.0; ids of -1 are skipped.
-
-    This is the order ``table[ids].sum(axis=0)`` adds a span's rows in when
-    the rows are at least 8 wide.  It is the per-span reference: single
-    spans and id matrices without position tables are summed here, and
-    ``_sentence_sum`` adds in the same order.
-    """
-    spans = np.atleast_2d(ids)
-    out = np.zeros((spans.shape[0], table.shape[1]))
-    for column in spans.T:
-        present = column >= 0
-        if present.all():
-            out += table[column]
-        else:
-            out[present] += table[column[present]]
-    return out if ids.ndim == 2 else out[0]
 
 
 def _rows_at(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -98,8 +77,9 @@ class PositionRows(NamedTuple):
 
 def _sentence_sum(rows: PositionRows, p0: int, p1: int, out: np.ndarray) -> np.ndarray:
     """The spans that start at p0, ..., p1 - 1, in packed row order: their
-    features' rows added as ``_gather_sum`` adds them, written to the first
-    rows of ``out`` and returned as that view.
+    features' rows added in feature order from +0.0, S only where the span
+    has one, written to the first rows of ``out`` and returned as that
+    view.
 
     The spans that start at p take consecutive packed rows and end at
     p + 1, ..., n, so each start-indexed feature adds one row to the block
@@ -223,8 +203,6 @@ class LinearScorer:
         self.rows = np.insert(self.rows, at, 0.0, axis=0)
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        if rep.positions is None:
-            return _gather_sum(self.rows, self._positions(rep.ids))
         n = rep.positions.by_start.shape[1]
         return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
 
@@ -325,8 +303,6 @@ class MLPHead:
         return self.W2.shape[1]
 
     def _pre_hidden(self, rep: SpanRepresentation) -> np.ndarray:
-        if rep.positions is None:
-            return _gather_sum(self.W1, rep.ids) + self.b1
         n = rep.positions.by_start.shape[1]
         rows = PositionRows.gather(self.W1, rep.positions)
         pre = _sentence_sum(rows, 0, n, np.empty((n * (n + 1) // 2, self.hidden)))
@@ -334,10 +310,8 @@ class MLPHead:
         return pre
 
     def _output(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """h W2 + b2; a batch is written to the first rows of ``out`` (by
+        """h W2 + b2, row by row, written to the first rows of ``out`` (by
         default a new array), which are returned."""
-        if h.ndim == 1:
-            return h @ self.W2 + self.b2
         out = np.empty((len(h), self.num_labels)) if out is None else out[:len(h)]
         # one product per span: a batched H @ W2 need not round like h @ W2
         for row, hidden in zip(out, h):
@@ -346,8 +320,6 @@ class MLPHead:
         return out
 
     def score(self, rep: SpanRepresentation) -> np.ndarray:
-        if rep.positions is None:
-            return self._output(np.maximum(self._pre_hidden(rep), 0.0))
         n = rep.positions.by_start.shape[1]
         return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
 
@@ -393,9 +365,8 @@ class MLPHead:
         """
         grad = np.array(grad, dtype=np.float64)  # the b2 gradient; a copy
         _check_upstream(grad)
-        ids = rep.ids_of(rows)
         if cache is None:
-            pre = self._pre_hidden(SpanRepresentation(ids, rep.dim))
+            pre = self._pre_hidden(rep)[rows]
             keep = None
         else:
             pre = cache["pre"][rows]
@@ -408,7 +379,7 @@ class MLPHead:
         if keep is not None:
             h = h * keep
             dh = dh * keep
-        return SentenceGradient(ids, dh * (pre > 0.0), h, grad)
+        return SentenceGradient(rep.ids_of(rows), dh * (pre > 0.0), h, grad)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}

@@ -20,10 +20,11 @@ a key.  ``import hashlib`` would also load OpenSSL's libcrypto, about
 3.8 MB more peak RSS for a process that has imported numpy (Linux).
 Each feature depends on one position or on the width alone (L, B and LB
 on the span's start, E, R and ER on its end, S on the start and a width
-of at most 4, W on the width), so a sentence's features are hashed into
-per-position tables, ``PositionIds``, which the spans' ids index.  A
-representation of all spans of a sentence keeps those tables, and the
-scorers sum every span from their per-position rows (see ``scorers``).
+of at most 4, W on the width), so ``span_representation`` hashes a whole
+sentence's features into per-position tables, ``PositionIds``, about 12n
+ids for n characters.  The scorers sum every span from the table rows of
+its positions (see ``scorers``); the ids of chosen spans, in feature
+order, are read from the tables with ``ids_of``.
 """
 
 from __future__ import annotations
@@ -178,49 +179,29 @@ class PositionIds(NamedTuple):
     by_short: np.ndarray  # (4, n)
     by_width: np.ndarray  # (n + 1,)
 
-    def span_ids(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """The (S, 8) id matrix of the spans (starts[k], ends[k])."""
-        widths = ends - starts
-        ids = np.empty((len(starts), 8), dtype=np.int64)
-        ids[:, [0, 1, 4]] = self.by_start[:, starts].T
-        ids[:, [2, 3, 5]] = self.by_end[:, ends - 1].T
-        ids[:, 6] = np.where(widths <= 4,
-                             self.by_short[np.minimum(widths, 4) - 1, starts], -1)
-        ids[:, 7] = self.by_width[widths]
-        return ids
 
+class SpanRepresentation(NamedTuple):
+    """The hashed features of all spans of one sentence, as the sentence's
+    ``positions`` tables; every id is < ``dim``."""
 
-class SpanRepresentation:
-    """Hashed feature ids of one span, or an (S, 8) id matrix of S spans.
-
-    Every id is < dim; in a matrix, -1 marks the missing span-string
-    feature of spans wider than 4 characters.  A representation of all
-    spans of a sentence, in packed row order, also carries the sentence's
-    ``positions`` tables; the scorers sum its spans from those, and its id
-    matrix is only built when ``ids`` is first read.  Training reads only
-    the rows it needs, through ``ids_of``, and keeps no id matrix.
-    """
-
-    def __init__(self, ids: np.ndarray | None, dim: int,
-                 positions: PositionIds | None = None):
-        self._ids = ids  # None until first read when built from positions
-        self.dim = dim
-        self.positions = positions
-
-    @property
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            n = self.positions.by_start.shape[1]
-            self._ids = self.positions.span_ids(*span_bounds(n))
-        return self._ids
+    positions: PositionIds
+    dim: int
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of the id matrix, built from the position tables
-        when there are any; nothing keeps them."""
-        if self.positions is None:
-            return self._ids[rows]
-        starts, ends = span_bounds(self.positions.by_start.shape[1])
-        return self.positions.span_ids(starts[rows], ends[rows])
+        """The (len(rows), 8) id matrix of the spans at packed ``rows``, in
+        feature order L, B, E, R, LB, ER, S, W, with -1 in the S column of
+        spans wider than 4 characters; nothing keeps it."""
+        at = self.positions
+        starts, ends = span_bounds(at.by_start.shape[1])
+        starts, ends = starts[rows], ends[rows]
+        widths = ends - starts
+        ids = np.empty((len(starts), 8), dtype=np.int64)
+        ids[:, [0, 1, 4]] = at.by_start[:, starts].T
+        ids[:, [2, 3, 5]] = at.by_end[:, ends - 1].T
+        ids[:, 6] = np.where(widths <= 4,
+                             at.by_short[np.minimum(widths, 4) - 1, starts], -1)
+        ids[:, 7] = at.by_width[widths]
+        return ids
 
 
 # the keyed state, made once; each feature string updates a copy of it
@@ -239,10 +220,6 @@ def _feature_ids(features: Iterable[str], dim: int) -> np.ndarray:
     return ids.astype(np.int64)
 
 
-def _feature_id(feature: str, dim: int) -> int:
-    return int(_feature_ids([feature], dim)[0])
-
-
 def _length_bucket(length: int) -> str:
     for upper, name in _LENGTH_BUCKETS:
         if length <= upper:
@@ -250,30 +227,16 @@ def _length_bucket(length: int) -> str:
     return "9+"
 
 
-def span_representation(chars: Sequence[str], i, j,
+def span_representation(chars: Sequence[str],
                         dim: int = DEFAULT_DIM) -> SpanRepresentation:
-    """Deterministic feature ids for span (i, j) of ``chars``.
+    """Deterministic feature ids for every span of ``chars``.
 
-    With integer ``i`` and ``j`` the ids are the span's 7 or 8 features in
-    feature order: L, B, E, R, LB, ER, then S (only for spans of at most 4
-    characters), then W.  With equal-length integer arrays the result is an
-    (S, 8) matrix with one row per span in the same column order and -1 in
-    the S column of wider spans.  The features of every position of
-    ``chars`` are hashed, each distinct string once, into the per-position
-    id tables of ``PositionIds``; when the spans are all spans of ``chars``
-    in packed row order, the result keeps those tables.
+    The features of every position of ``chars`` are hashed, each distinct
+    string once, into the per-position id tables of ``PositionIds``.
     """
-    starts = np.atleast_1d(np.asarray(i, dtype=np.int64))
-    ends = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    if starts.ndim != 1 or starts.shape != ends.shape:
-        raise ValueError("span starts and ends must be equal-length 1-D arrays")
-    n = len(chars)
-    bad = ~((0 <= starts) & (starts < ends) & (ends <= n))
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(f"span ({starts[k]}, {ends[k]}) out of range for length {n}")
     if dim <= 0:
         raise ValueError("feature dimension must be positive")
+    n = len(chars)
     # Position p sits between padded[p] and padded[p + 1]: the characters
     # before and at p.  The features of every table, in table order:
     padded = [LEFT_SENTINEL, *chars, RIGHT_SENTINEL]
@@ -296,37 +259,16 @@ def span_representation(chars: Sequence[str], i, j,
         by_short[w - 1, :n - w + 1] = ids[k:k + n - w + 1]
         k += n - w + 1
     by_width = np.concatenate(([-1], ids[k:]))
-    positions = PositionIds(by_start, by_end, by_short, by_width)
-    if np.ndim(i) == 0 and np.ndim(j) == 0:
-        row = positions.span_ids(starts, ends)[0]
-        return SpanRepresentation(row[row >= 0], dim)
-    # the spans are in range, so these rows are all rows only if every span
-    # is there, in packed row order
-    if np.array_equal(span_row(n, starts, ends), np.arange(n * (n + 1) // 2)):
-        return SpanRepresentation(None, dim, positions)
-    return SpanRepresentation(positions.span_ids(starts, ends), dim)
+    return SpanRepresentation(PositionIds(by_start, by_end, by_short, by_width), dim)
 
 
-def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab,
-                train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> SpanScores:
-    """Score every span of ``chars`` with ``scorer``, all in one batch.
-
-    ``train_mode`` turns on dropout (scorers without dropout ignore it) and
-    then requires a caller-provided ``rng`` so runs stay reproducible.
-    """
+def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab) -> SpanScores:
+    """Score every span of ``chars`` with ``scorer``, all in one batch."""
     if scorer.num_labels != len(vocab):
         raise ValueError(f"scorer produces {scorer.num_labels} labels, "
                          f"vocabulary has {len(vocab)}")
-    if train_mode and rng is None:
-        raise ValueError("train_mode scoring needs an explicit rng")
     n = len(chars)
-    starts, ends = span_bounds(n)
-    rep = span_representation(chars, starts, ends, scorer.dim)
-    if train_mode:
-        rows, _ = scorer.score_train(rep, rng)
-    else:
-        rows = scorer.score(rep)
+    rows = scorer.score(span_representation(chars, scorer.dim))
     check_scored(rows, n)
     return SpanScores(n, len(vocab), rows, validate=False)
 

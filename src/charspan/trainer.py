@@ -27,8 +27,7 @@ from .decoder import DecodeConfig, cky_decode, decode_sentence  # noqa: F401
 from .losses import MARGIN_MODES, SPAN_SETS, label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
 from .scorers import LinearScorer, MLPHead, check_keys
-from .scoring import (LabelVocab, SpanScores, build_vocab, span_bounds,
-                      span_representation)
+from .scoring import LabelVocab, SpanScores, build_vocab, span_representation
 
 FEATURE_SCORER_LEARNING_RATE = 0.1
 
@@ -295,9 +294,8 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
     rng = np.random.default_rng(config.seed)
     scorer = _make_scorer(config, dim, len(vocab), rng)
     decode_cfg = DecodeConfig()
-    # per sentence, the feature ids of its spans in packed row order
-    reps = [span_representation(chars, *span_bounds(len(chars)), dim)
-            for chars in sentences]
+    # per sentence, the position id tables of its features
+    reps = [span_representation(chars, dim) for chars in sentences]
     if config.scorer == "linear":
         # every row SGD will update exists before the first step; the
         # position tables hold the ids of all spans of their sentence

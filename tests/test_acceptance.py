@@ -21,8 +21,8 @@ from charspan.labels import NULL_LABEL
 from charspan.losses import label_loss, tree_loss
 from charspan.metrics import joint_report, parse_f1, seg_f1
 from charspan.scorers import MLPHead
-from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores,
-                              build_vocab, oracle_scores, span_row, write_scores)
+from charspan.scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
+                              span_representation, span_row, write_scores)
 from charspan.synthesis import synthesize_bench_corpus, synthesize_corpus
 from charspan.trainer import TrainConfig, train
 from charspan.treebank import load_corpus, parse_bracketed, save_corpus
@@ -136,16 +136,19 @@ def test_criterion_4_gradient_checks():
     while mlp_cases < 100:
         head = MLPHead(dim, num_labels, hidden=hidden, dropout=0.0,
                        rng=np.random.default_rng(int(rng.integers(1 << 30))))
-        ids = rng.integers(0, dim, size=int(rng.integers(1, 6)))
-        rep = SpanRepresentation(np.asarray(ids, dtype=np.int64)[None], dim)
-        if np.abs(head._pre_hidden(rep)).min() < 1e-4:
+        # one span of a sentence of 1-5 characters, whose 7-8 ids collide
+        n = int(rng.integers(1, 6))
+        chars = "".join(rng.choice(list("中国发展很好的人"), size=n))
+        rep = span_representation(chars, dim)
+        row = int(rng.integers(n * (n + 1) // 2))
+        if np.abs(head._pre_hidden(rep)[row]).min() < 1e-4:
             continue  # too close to a relu kink for central differences
         upstream = rng.normal(size=num_labels)
 
         def objective():
-            return float(head.score(rep)[0] @ upstream)
+            return float(head.score(rep)[row] @ upstream)
 
-        grads = dense_gradients(head.backward(rep, np.array([0]), upstream[None]),
+        grads = dense_gradients(head.backward(rep, np.array([row]), upstream[None]),
                                 {n: p.shape for n, p in head.params().items()})
         worst = 0.0
         for name, param in head.params().items():

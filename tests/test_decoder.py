@@ -20,7 +20,7 @@ from charspan.labels import NULL_LABEL, is_char_label
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
                               iter_spans, oracle_scores, score_spans,
-                              span_bounds, span_representation, span_row)
+                              span_representation, span_row)
 from charspan.treebank import parse_bracketed
 from memcheck import traced_peak
 
@@ -475,7 +475,9 @@ def test_decode_sentence_names_the_first_nonfinite_span(monkeypatch, chunking):
     chars = chars[:250] + "好" + chars[251:280] + "坏" + chars[281:]
     dim = 1 << 20
     # the ids of the "S:好" and "S:坏" features, which only those spans have
-    keys = sorted(int(span_representation(chars, p, p + 1, dim).ids[6]) for p in (250, 280))
+    rep = span_representation(chars, dim)
+    keys = sorted(int(rep.ids_of(np.array([span_row(300, p, p + 1)]))[0, 6])
+                  for p in (250, 280))
     for bad in (np.nan, np.inf, -np.inf):
         rows = np.zeros((2, len(SENTENCE_VOCAB)))
         rows[:, 3] = bad
@@ -496,14 +498,17 @@ def test_decode_sentence_reports_a_nonfinite_score_before_a_masked_span(monkeypa
     vocab = LabelVocab([NULL_LABEL, "NN", "VP"])
     chars = "中国人的了" * 60
     dim = 1 << 20
-    key = int(span_representation(chars, 299, 300, dim).ids[-1])  # W:1, every width-1 span
+    rep = span_representation(chars, dim)
+    # W:1, which every width-1 span has
+    key = int(rep.ids_of(np.array([span_row(300, 299, 300)]))[0, 7])
     scorer = LinearScorer(dim, len(vocab), keys=[key], rows=[[0.0, 1.0, 2.0]])
     with pytest.raises(ValueError, match=r"^masking left span \(0, 1\) with no usable label$"):
         decode_sentence(scorer, chars, vocab)
     with pytest.raises(ValueError, match=r"^masking left span \(0, 1\)"):
         cky_decode(score_spans(scorer, chars, vocab), vocab)
     late = chars[:290] + "好" + chars[291:]
-    key = int(span_representation(late, 290, 291, dim).ids[6])  # S:好
+    rep = span_representation(late, dim)
+    key = int(rep.ids_of(np.array([span_row(300, 290, 291)]))[0, 6])  # S:好
     scorer = LinearScorer(dim, len(vocab), keys=[key], rows=[[0.0, np.inf, 0.0]])
     message = r"^scorer produced non-finite values at span \(290, 291\)$"
     with pytest.raises(ValueError, match=message):
@@ -521,7 +526,7 @@ def test_decode_sentence_holds_no_sentence_sized_score_array(kind):
     chars = "".join(chr(0x4E00 + int(k)) for k in rng.integers(0, 400, n))
     if kind == "linear":
         dim = 1 << 20
-        positions = span_representation(chars, *span_bounds(n), dim).positions
+        positions = span_representation(chars, dim).positions
         keys = np.unique(np.concatenate([table.ravel() for table in positions]))
         keys = keys[keys >= 0]
         scorer = LinearScorer(dim, num_labels, keys=keys,

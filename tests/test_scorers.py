@@ -6,26 +6,30 @@ import pytest
 from charspan import scorers
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.losses import label_loss
-from charspan.scorers import LinearScorer, MLPHead
-from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores, build_vocab,
-                              span_bounds, span_representation)
+from charspan.scorers import LinearScorer, MLPHead, SentenceGradient
+from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
+                              span_representation, span_row)
 from charspan.synthesis import synthesize_corpus
 
 from fdcheck import dense_gradients, finite_difference, relative_error
 from memcheck import traced_peak
+from spanref import linear_score, span_ids
 
 DIM = 8
 LABELS = 3
 HIDDEN = 4
+# six characters: 21 spans, the two widest without a span-string feature
+SENTENCE = "中国发展很好"
+SPANS = len(SENTENCE) * (len(SENTENCE) + 1) // 2
 
 
-def rep_of(ids):
-    return SpanRepresentation(np.asarray(ids, dtype=np.int64), DIM)
+def all_ids(rep):
+    return rep.ids_of(np.arange(SPANS))
 
 
-def mlp_gradients(head, rep, upstream, cache=None):
+def mlp_gradients(head, rep, row, upstream, cache=None):
     # one span's gradients through the sentence-level backward
-    grad = head.backward(rep, np.array([0]), np.asarray(upstream)[None], cache)
+    grad = head.backward(rep, np.array([row]), np.asarray(upstream)[None], cache)
     return dense_gradients(grad, {n: p.shape for n, p in head.params().items()})
 
 
@@ -37,19 +41,33 @@ def full_table(rng):
 
 def test_linear_score_is_sum_of_rows():
     scorer = full_table(np.random.default_rng(0))
-    rep = rep_of([1, 5, 5])
-    expected = scorer.rows[1] + 2 * scorer.rows[5]  # duplicate ids accumulate
+    rep = span_representation(SENTENCE, DIM)
+    ids = [row[row >= 0] for row in all_ids(rep)]
+    # 8 ids: some span has an id twice, which adds its row twice
+    assert any(len(set(row.tolist())) < len(row) for row in ids)
+    expected = [scorer.rows[row].sum(axis=0) for row in ids]
     assert np.allclose(scorer.score(rep), expected)
 
 
 def test_linear_ids_without_a_row_score_zero():
+    dim = 1 << 20
+    rep = span_representation(SENTENCE, dim)
+    ids = all_ids(rep)
+    used = set(ids[ids >= 0].tolist())
+    key = int(span_ids(rep, 2, 3)[0])  # an id some spans have, and some not
+    unused = next(k for k in range(dim) if k not in used)
     rows = np.random.default_rng(0).normal(size=(2, LABELS))
-    scorer = LinearScorer(DIM, LABELS, keys=[1, 6], rows=rows)
-    assert np.array_equal(scorer.score(rep_of([1, 5, 5])), rows[0])
-    assert np.array_equal(scorer.score(rep_of([0, 7])), np.zeros(LABELS))
-    # a batch of spans, with -1 for a missing span-string feature
-    batch = scorer.score(rep_of([[6, -1], [1, 6]]))
-    assert np.array_equal(batch, [rows[1], rows[0] + rows[1]])
+    scorer = LinearScorer(dim, LABELS, keys=sorted([key, unused]), rows=rows)
+    got = scorer.score(rep)
+    has = (ids == key).sum(axis=1)
+    assert 0 < has.sum() < SPANS and has.max() == 1
+    assert np.array_equal(got[has == 1],
+                          np.tile(rows[int(key > unused)], ((has == 1).sum(), 1)))
+    assert not got[has == 0].any()
+    # every span, -1 of a missing span-string feature included, scores like
+    # the per-span reference
+    for k, row in enumerate(ids):
+        assert np.array_equal(got[k], linear_score(scorer, row[row >= 0]))
 
 
 def test_linear_table_rejects_bad_keys():
@@ -64,32 +82,33 @@ def test_linear_table_rejects_bad_keys():
 def test_linear_gradient_matches_finite_difference():
     rng = np.random.default_rng(1)
     scorer = full_table(rng)
-    # two spans, one with a missing feature; the loss reaches the second
-    rep = rep_of([[0, 3, 3, 7], [1, 2, -1, 5]])
+    rep = span_representation(SENTENCE, DIM)
+    # the loss reaches one span, which has no span-string feature
+    k = span_row(len(SENTENCE), 0, 5)
+    assert (rep.ids_of(np.array([k])) == -1).any()
     upstream = rng.normal(size=LABELS)
 
     def objective():
-        return float(scorer.score(rep)[1] @ upstream)
+        return float(scorer.score(rep)[k] @ upstream)
 
     numeric = finite_difference(objective, scorer.rows)
     # the full table's keys are 0..DIM-1, so ids index its rows directly
-    grad = scorer.backward(rep, np.array([1]), upstream[None])
+    grad = scorer.backward(rep, np.array([k]), upstream[None])
     analytic = dense_gradients(grad, {"W": scorer.rows.shape})["W"]
     assert relative_error(analytic, numeric) < 1e-7
 
 
 def test_linear_sgd_step_batch_mean():
     scorer = LinearScorer(DIM, LABELS)
-    rep = rep_of([[2]])
     upstream = np.array([[1.0, 0.0, 0.0]])
-    grads = [scorer.backward(rep, np.array([0]), upstream),
-             scorer.backward(rep, np.array([0]), upstream)]
+    grads = [SentenceGradient(np.array([[2]]), upstream),
+             SentenceGradient(np.array([[2]]), upstream)]
     scorer.sgd_step(grads, lr=0.5, count=4)
     # id 2 got a row; two identical gradients averaged over a batch of 4
     assert scorer.keys.tolist() == [2]
     assert scorer.rows[0, 0] == pytest.approx(-0.5 * 2 / 4)
     assert scorer.rows[0, 1] == 0.0
-    assert np.array_equal(scorer.score(rep), scorer.rows[:1])
+    assert np.array_equal(linear_score(scorer, np.array([2])), scorer.rows[0])
 
 
 def test_linear_sgd_step_lands_updates_span_by_span():
@@ -105,30 +124,29 @@ def test_linear_sgd_step_lands_updates_span_by_span():
         rows = rng.permutation(spans)[:spans - 2]
         grad = (rng.normal(size=(len(rows), LABELS))
                 * 10.0 ** rng.integers(-8, 8, size=(len(rows), 1)))
-        sentences.append((rep_of(ids), rows, grad))
+        sentences.append(SentenceGradient(ids[rows], grad))
     scale = 0.3 / 5
-    assert (sentences[1][0].ids >= 0).sum() > scorers._UPDATE_ROWS
+    assert (sentences[1].ids >= 0).sum() > scorers._UPDATE_ROWS
     expected = scorer.rows.copy()
-    for rep, rows, grad in sentences:
-        for k, g in zip(rows, grad):
-            for fid in rep.ids[k][rep.ids[k] >= 0]:
-                expected[fid] -= scale * g
+    for g in sentences:
+        for ids, update in zip(g.ids, g.feature):
+            for fid in ids[ids >= 0]:
+                expected[fid] -= scale * update
     reordered = scorer.rows.copy()
-    for rep, rows, grad in reversed(sentences):
-        for k, g in zip(rows, grad):
-            for fid in rep.ids[k][rep.ids[k] >= 0]:
-                reordered[fid] -= scale * g
+    for g in reversed(sentences):
+        for ids, update in zip(g.ids, g.feature):
+            for fid in ids[ids >= 0]:
+                reordered[fid] -= scale * update
     assert not np.array_equal(expected, reordered)  # the order shows in the bits
     table = scorer.rows
-    scorer.sgd_step([scorer.backward(*s) for s in sentences], lr=0.3, count=5)
+    scorer.sgd_step(sentences, lr=0.3, count=5)
     assert np.array_equal(scorer.rows, expected)
     assert scorer.rows is table  # no id missed, so no new table
 
 
 def test_linear_sgd_step_registers_only_missing_ids():
     scorer = LinearScorer(DIM, LABELS, keys=[1, 3], rows=[[1.0, 0, 0], [0, 2.0, 0]])
-    grad = scorer.backward(rep_of([[3, 6, -1], [1, 1, 0]]), np.array([0, 1]),
-                           np.ones((2, LABELS)))
+    grad = SentenceGradient(np.array([[3, 6, -1], [1, 1, 0]]), np.ones((2, LABELS)))
     scorer.sgd_step([grad], lr=1.0)
     assert scorer.keys.tolist() == [0, 1, 3, 6]
     assert np.array_equal(scorer.rows, [[-1, -1, -1], [-1, -2, -2], [-1, 1, -1],
@@ -146,9 +164,9 @@ def test_linear_register_keeps_rows():
 
 def test_mlp_forward_shapes_and_relu():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
-    rep = rep_of([0, 1])
+    rep = span_representation(SENTENCE, DIM)
     out = head.score(rep)
-    assert out.shape == (LABELS,)
+    assert out.shape == (SPANS, LABELS)
     # zeroed first layer leaves only the output bias
     head.W1[:] = 0.0
     head.b1[:] = -1.0  # relu kills the hidden layer entirely
@@ -161,13 +179,15 @@ def test_mlp_gradients_match_finite_difference(seed):
     rng = np.random.default_rng(seed)
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0,
                    rng=np.random.default_rng(seed + 100))
-    rep = rep_of([rng.integers(0, DIM, size=4)])
+    chars = "".join(rng.choice(list("中国发展很好的人"), size=5))
+    rep = span_representation(chars, DIM)
+    k = int(rng.integers(15))
     upstream = rng.normal(size=LABELS)
 
     def objective():
-        return float(head.score(rep)[0] @ upstream)
+        return float(head.score(rep)[k] @ upstream)
 
-    grads = mlp_gradients(head, rep, upstream)
+    grads = mlp_gradients(head, rep, k, upstream)
     for name, param in head.params().items():
         numeric = finite_difference(objective, param)
         assert relative_error(grads[name], numeric) < 1e-6, name
@@ -176,7 +196,7 @@ def test_mlp_gradients_match_finite_difference(seed):
 def test_mlp_b2_gradient_is_upstream():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
     upstream = np.array([[0.5, -1.5, 2.0]])
-    grad = head.backward(rep_of([[1]]), np.array([0]), upstream)
+    grad = head.backward(span_representation(SENTENCE, DIM), np.array([0]), upstream)
     assert np.array_equal(dense_gradients(grad, {n: p.shape for n, p in
                                                  head.params().items()})["b2"],
                           upstream[0])
@@ -187,12 +207,13 @@ def test_mlp_dropout_mask_used_in_backward():
     rng = np.random.default_rng(7)
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.5,
                    rng=np.random.default_rng(8))
-    rep = rep_of([[0, 2, 4]])
+    rep = span_representation(SENTENCE, DIM)
     out, cache = head.score_train(rep, rng)
     assert cache["keep"] is not None
-    dropped = cache["keep"][0] == 0.0
-    assert dropped.any()  # hidden=4 at p=0.5; seed 7 drops at least one unit
-    grads = mlp_gradients(head, rep, np.ones(LABELS), cache)
+    # hidden=4 at p=0.5: a span keeps all its units 1 time in 16
+    k = int(np.flatnonzero((cache["keep"] == 0.0).any(axis=1))[0])
+    dropped = cache["keep"][k] == 0.0
+    grads = mlp_gradients(head, rep, k, np.ones(LABELS), cache)
     # a dropped hidden unit contributes nothing to W1's gradient
     assert not grads["b1"][dropped].any()
     # and W2 rows for dropped units are zero since h was zeroed there
@@ -201,7 +222,7 @@ def test_mlp_dropout_mask_used_in_backward():
 
 def test_mlp_train_mode_matches_inference_without_dropout():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
-    rep = rep_of([3, 6])
+    rep = span_representation(SENTENCE, DIM)
     out, cache = head.score_train(rep, np.random.default_rng(0))
     assert np.array_equal(out, head.score(rep))
     assert cache["keep"] is None
@@ -210,37 +231,43 @@ def test_mlp_train_mode_matches_inference_without_dropout():
 def test_mlp_rejects_nonfinite_upstream():
     head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        head.backward(rep_of([[0]]), np.array([0]), np.array([[np.nan, 0.0, 0.0]]))
+        head.backward(span_representation(SENTENCE, DIM), np.array([0]),
+                      np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_linear_rejects_nonfinite_upstream():
     scorer = LinearScorer(DIM, LABELS)
     with pytest.raises(ValueError, match="non-finite"):
-        scorer.backward(rep_of([[0]]), np.array([0]), np.array([[0.0, np.inf, 0.0]]))
+        scorer.backward(span_representation(SENTENCE, DIM), np.array([0]),
+                        np.array([[0.0, np.inf, 0.0]]))
 
 
 def test_mlp_sgd_step_moves_all_params():
-    head = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0,
+    dim = 64  # room for rows no feature of the span has
+    head = MLPHead(dim, LABELS, hidden=HIDDEN, dropout=0.0,
                    rng=np.random.default_rng(5))
     before = {k: v.copy() for k, v in head.params().items()}
-    rep = rep_of([[1, 4]])
-    grads = [head.backward(rep, np.array([0]), np.ones((1, LABELS)))]
+    rep = span_representation(SENTENCE, dim)
+    touched = sorted(set(span_ids(rep, 1, 3).tolist()))
+    grads = [head.backward(rep, np.array([span_row(len(SENTENCE), 1, 3)]),
+                           np.ones((1, LABELS)))]
     head.sgd_step(grads, lr=0.1)
     after = head.params()
     for name in ("W2", "b2", "b1"):
         assert not np.array_equal(before[name], after[name]), name
-    assert not np.array_equal(before["W1"][1], after["W1"][1])
+    for fid in touched:
+        assert not np.array_equal(before["W1"][fid], after["W1"][fid]), fid
     # untouched rows stay untouched: sparse update
-    untouched = [k for k in range(DIM) if k not in (1, 4)]
+    untouched = [k for k in range(dim) if k not in touched]
     assert np.array_equal(before["W1"][untouched], after["W1"][untouched])
 
 
 def test_real_representation_drives_both_heads():
-    rep = span_representation("中国发展", 1, 3, dim=DIM)
-    assert (rep.ids < DIM).all()
+    rep = span_representation("中国发展", dim=DIM)
+    assert (rep.ids_of(np.arange(10)) < DIM).all()
     lin = LinearScorer(DIM, LABELS)
     mlp = MLPHead(DIM, LABELS, hidden=HIDDEN, dropout=0.0)
-    assert lin.score(rep).shape == (LABELS,)
+    assert lin.score(rep).shape == (10, LABELS)
     assert np.isfinite(mlp.score(rep)).all()
 
 
@@ -256,7 +283,7 @@ def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
     labels = build_vocab([gold_char]).labels
     vocab = LabelVocab(labels + [f"X{k}" for k in range(165 - len(labels))])
     dim = 1 << 12
-    rep = span_representation(chars, *span_bounds(len(chars)), dim)
+    rep = span_representation(chars, dim)
     if kind == "linear":
         scorer = LinearScorer(dim, len(vocab))
         scorer.register(np.concatenate([t.ravel() for t in rep.positions]))

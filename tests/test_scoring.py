@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 from charspan import scoring
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import CHAR_LABEL, NULL_LABEL, SUBWORD_LABEL
-from charspan.scoring import (LabelVocab, SpanRepresentation, SpanScores,
-                              build_vocab, iter_spans,
+from charspan.scoring import (LabelVocab, SpanScores, build_vocab, iter_spans,
                               oracle_scores, read_score_file, score_spans,
                               span_bounds, span_representation, span_row,
                               write_scores)
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.treebank import parse_bracketed
+
+from memcheck import traced_peak
+from spanref import linear_score, mlp_score, span_ids
 
 
 def test_iter_spans_lexicographic():
@@ -73,43 +75,43 @@ def test_build_vocab_leaves_no_reference_cycles():
 
 def test_span_representation_deterministic_and_bounded():
     chars = "春眠不觉晓"
-    a = span_representation(chars, 1, 3, dim=1 << 16)
-    b = span_representation(chars, 1, 3, dim=1 << 16)
-    assert np.array_equal(a.ids, b.ids)
+    a = span_representation(chars, dim=1 << 16)
+    b = span_representation(chars, dim=1 << 16)
+    assert all(np.array_equal(x, y) for x, y in zip(a.positions, b.positions))
     assert a.dim == 1 << 16
-    assert ((a.ids >= 0) & (a.ids < a.dim)).all()
-    c = span_representation(chars, 1, 4, dim=1 << 16)
-    assert not np.array_equal(a.ids, c.ids)
+    ids = a.ids_of(np.arange(15))
+    # -1 only for the span-string feature of span (0, 5)
+    assert (ids < a.dim).all() and np.flatnonzero(ids < 0).tolist() == [4 * 8 + 6]
+    assert not np.array_equal(span_ids(a, 1, 3), span_ids(a, 1, 4))
 
 
 def test_span_representation_feature_count():
-    chars = "零一二三四五六七八九"
-    assert len(span_representation(chars, 0, 4).ids) == 8  # includes "S:"
-    assert len(span_representation(chars, 0, 5).ids) == 7  # no span-string
+    rep = span_representation("零一二三四五六七八九")
+    assert len(span_ids(rep, 0, 4)) == 8  # includes "S:"
+    assert len(span_ids(rep, 0, 5)) == 7  # no span-string
 
 
 def test_span_representation_edges_use_sentinels():
     # a one-char sentence exercises both sentinels at once; it must differ
     # from the same char embedded in a longer sentence
-    lone = span_representation("好", 0, 1, dim=1 << 16)
-    embedded = span_representation("很好的", 1, 2, dim=1 << 16)
-    assert not np.array_equal(lone.ids, embedded.ids)
+    lone = span_ids(span_representation("好", dim=1 << 16), 0, 1)
+    embedded = span_ids(span_representation("很好的", dim=1 << 16), 1, 2)
+    assert not np.array_equal(lone, embedded)
 
 
-def test_span_representation_rejects_bad_span():
-    with pytest.raises(ValueError, match="out of range"):
-        span_representation("abc", 2, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        span_representation("abc", 0, 4)
+def test_span_representation_rejects_bad_dim():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            span_representation("abc", dim)
 
 
 def test_hash_is_stable_across_runs():
     # pinned ids guard the keyed hash; a change here invalidates every
     # saved checkpoint
-    rep = span_representation("中国", 0, 2, dim=1 << 20)
-    # L, B, E, R, LB, ER, S, W
-    assert rep.ids.tolist() == [842386, 467244, 872855, 565636, 430560, 428685,
-                                978669, 644762]
+    rep = span_representation("中国", dim=1 << 20)
+    # L, B, E, R, LB, ER, S, W of span (0, 2), packed row 1
+    assert rep.ids_of(np.array([span_row(2, 0, 2)]))[0].tolist() == [
+        842386, 467244, 872855, 565636, 430560, 428685, 978669, 644762]
 
 
 def test_feature_hash_is_blake2b_without_openssl():
@@ -117,15 +119,14 @@ def test_feature_hash_is_blake2b_without_openssl():
     # (which loads OpenSSL's libcrypto); the ids are those of the keyed hash
     import hashlib
     assert scoring.blake2b is hashlib.blake2b
-    assert [scoring._feature_id(f, 1 << 20) for f in ("B:中", "LB:中国", "W:5-8")] \
+    assert scoring._feature_ids(["B:中", "LB:中国", "W:5-8"], 1 << 20).tolist() \
         == [467244, 263448, 703937]
 
 
 def test_span_representation_hashes_each_distinct_feature_once():
     chars = "好好好好好好中国好好"
-    starts, ends = span_bounds(len(chars))
     with mock.patch.object(scoring, "_feature_ids", wraps=scoring._feature_ids) as spy:
-        rep = span_representation(chars, starts, ends, dim=1 << 12)
+        rep = span_representation(chars, dim=1 << 12)
     (features, dim), _ = spy.call_args
     assert spy.call_count == 1 and dim == 1 << 12
     features = list(features)
@@ -150,26 +151,40 @@ def test_span_representation_hashes_each_distinct_feature_once():
 
 def test_span_representation_batch_matches_single_spans():
     chars = "好好好好好好中国好好"  # repeated characters share feature strings
-    starts, ends = np.triu_indices(len(chars) + 1, k=1)
-    batch = span_representation(chars, starts, ends, dim=1 << 12)
-    assert batch.ids.shape == (len(starts), 8)
-    for row, i, j in zip(batch.ids, starts.tolist(), ends.tolist()):
-        single = span_representation(chars, i, j, dim=1 << 12).ids
+    dim = 1 << 12
+    rep = span_representation(chars, dim)
+    num_spans = len(chars) * (len(chars) + 1) // 2
+    full = rep.ids_of(np.arange(num_spans))
+    assert full.shape == (num_spans, 8)
+    # row by row, the ids of the span's own feature strings
+    padded = [scoring.LEFT_SENTINEL, *chars, scoring.RIGHT_SENTINEL]
+    for row, (i, j) in zip(full, iter_spans(len(chars))):
+        features = ["L:" + padded[i], "B:" + padded[i + 1], "E:" + padded[j],
+                    "R:" + padded[j + 1], "LB:" + padded[i] + padded[i + 1],
+                    "ER:" + padded[j] + padded[j + 1]]
+        if j - i <= 4:
+            features.append("S:" + chars[i:j])
+        features.append("W:" + scoring._length_bucket(j - i))
         assert (row[6] == -1) == (j - i > 4)
-        assert np.array_equal(row[row >= 0], single)
-    # a partial, unsorted span list with repeats gets the same rows
+        assert row[row >= 0].tolist() == scoring._feature_ids(features, dim).tolist()
+    # partial, unsorted rows with repeats get the same rows
     rng = np.random.default_rng(0)
-    picked = rng.integers(0, len(starts), size=40)
-    partial = span_representation(chars, starts[picked], ends[picked], dim=1 << 12)
-    assert np.array_equal(partial.ids, batch.ids[picked])
+    picked = rng.integers(0, num_spans, size=40)
+    assert np.array_equal(rep.ids_of(picked), full[picked])
     assert len(set(picked.tolist())) < 40 and (np.diff(picked) < 0).any()
 
 
-def test_span_representation_batch_rejects_bad_span():
-    with pytest.raises(ValueError, match=r"span \(2, 2\) out of range"):
-        span_representation("abc", np.array([0, 2]), np.array([1, 2]))
-    with pytest.raises(ValueError, match="equal-length"):
-        span_representation("abc", np.array([0, 1]), np.array([1]))
+def test_span_representation_memory_is_its_tables():
+    # 600 characters: the tables hold about 12n ids, where one S-long
+    # int64 array of all spans takes 1.4 MB; the representation stays below
+    # the pair of them that span_bounds makes
+    rng = np.random.default_rng(2)
+    chars = "".join(chr(0x4E00 + int(k)) for k in rng.integers(0, 400, 600))
+    num_spans = 600 * 601 // 2
+    span_representation(chars[:30])  # warm caches
+    rep, peak = traced_peak(lambda: span_representation(chars))
+    assert rep.positions.by_start.shape == (3, 600)
+    assert peak < 2 * num_spans * 8, peak
 
 
 def test_span_scores_validation():
@@ -209,8 +224,6 @@ def test_score_spans_zero_scorer():
     scores = score_spans(scorer, "很好", vocab)
     assert scores.n == 2
     assert not scores.values.any()
-    with pytest.raises(ValueError, match="rng"):
-        score_spans(scorer, "很好", vocab, train_mode=True)
 
 
 def test_score_spans_equals_per_span_scores():
@@ -229,19 +242,14 @@ def test_score_spans_equals_per_span_scores():
                               rng=np.random.default_rng(labels)), vocab))
     for n in [*range(1, 41), 57, 120, 130]:
         chars = "".join(rng.choice(list("好中国人")) for _ in range(n))
-        if n <= 40:
-            reps = {ij: span_representation(chars, *ij, dim) for ij in iter_spans(n)}
-        else:
-            # the rows of the id matrix are the single spans' ids (see the
-            # test above), and hashing the sentence once per span is slow
-            ids = span_representation(chars, *span_bounds(n), dim).ids
-            reps = {ij: SpanRepresentation(row[row >= 0], dim)
-                    for ij, row in zip(iter_spans(n), ids)}
+        # each span's ids, checked against its own features above
+        rep = span_representation(chars, dim)
+        ids = rep.ids_of(np.arange(n * (n + 1) // 2))
         for scorer, vocab in cases:
             values = score_spans(scorer, chars, vocab).values
-            for (i, j), rep in reps.items():
-                one = scorer.score(rep)
-                row = values[span_row(n, i, j)]
+            one_span = linear_score if isinstance(scorer, LinearScorer) else mlp_score
+            for row, span, (i, j) in zip(values, ids, iter_spans(n)):
+                one = one_span(scorer, span[span >= 0])
                 assert np.array_equal(row, one), (n, i, j)
                 assert np.array_equal(np.signbit(row), np.signbit(one)), (n, i, j)
 
@@ -257,31 +265,31 @@ def test_linear_table_scores_like_the_dense_matrix():
     kept = np.flatnonzero(np.any(dense != 0.0, axis=1))
     scorer = LinearScorer(dim, labels, keys=kept, rows=dense[kept])
     chars = "春眠不觉晓处处闻啼鸟"
-    starts, ends = np.triu_indices(len(chars) + 1, k=1)
-    batch = span_representation(chars, starts, ends, dim).ids
-    got = scorer.score(span_representation(chars, starts, ends, dim))
+    rep = span_representation(chars, dim)
+    batch = rep.ids_of(np.arange(len(chars) * (len(chars) + 1) // 2))
+    got = scorer.score(rep)
     for k, row in enumerate(batch):
         want = dense[row[row >= 0]].sum(axis=0)
         assert np.array_equal(got[k], want)
         assert np.array_equal(np.signbit(got[k]), np.signbit(want))
 
 
-def test_score_spans_train_mode_draws_dropout_per_span():
-    vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
-    head = MLPHead(1 << 9, len(vocab), hidden=8, dropout=0.5,
-                   rng=np.random.default_rng(4))
+def test_score_train_draws_dropout_per_span():
+    # a sentence batch draws the same dropout stream as its spans one by one
+    head = MLPHead(1 << 9, 3, hidden=8, dropout=0.5, rng=np.random.default_rng(4))
     chars = "中国发展"
-    scores = score_spans(head, chars, vocab, train_mode=True,
-                         rng=np.random.default_rng(9))
+    rep = span_representation(chars, head.dim)
+    scores, cache = head.score_train(rep, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    for i, j in iter_spans(len(chars)):
-        row, _ = head.score_train(span_representation(chars, i, j, head.dim), rng)
-        assert np.array_equal(scores.values[span_row(len(chars), i, j)], row)
+    for row, (i, j) in zip(scores, iter_spans(len(chars))):
+        keep = (rng.random(head.hidden) >= head.dropout) / (1.0 - head.dropout)
+        assert np.array_equal(row, mlp_score(head, span_ids(rep, i, j), keep))
+    assert (cache["keep"] == 0.0).any()
 
 
 def test_score_spans_names_first_nonfinite_span():
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
-    width2 = span_representation("很好的", 0, 2).ids[-1]  # the "W:2" bucket
+    width2 = span_ids(span_representation("很好的"), 0, 2)[-1]  # the "W:2" bucket
     scorer = LinearScorer(1 << 20, len(vocab), keys=[width2],
                           rows=[[0.0, np.inf, 0.0]])
     with pytest.raises(ValueError, match=r"non-finite values at span \(0, 2\)"):

@@ -2,12 +2,13 @@
 
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from charspan.chartree import to_char_tree
-from charspan.scorers import MLPHead
+from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import SpanRepresentation, build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
@@ -249,16 +250,31 @@ def test_training_keeps_one_best_copy_of_the_weights():
 
 
 def test_training_keeps_no_id_matrices(tiny_corpus, monkeypatch):
-    # registering and backpropagating read the sentences' position tables;
-    # no (S, 8) id matrix of a whole sentence is built, or kept for the run
-    def no_ids(rep):
-        raise AssertionError("training read SpanRepresentation.ids")
+    # registering reads the sentences' position tables; backpropagating
+    # builds the id rows of one sentence's gradient, and nothing keeps
+    # them past the step that lands them
+    built = []
+    ids_of = SpanRepresentation.ids_of
 
-    monkeypatch.setattr(SpanRepresentation, "ids", property(no_ids))
+    def tracked(self, rows):
+        ids = ids_of(self, rows)
+        built.append(weakref.ref(ids))
+        return ids
+
+    monkeypatch.setattr(SpanRepresentation, "ids_of", tracked)
+    for cls in (LinearScorer, MLPHead):
+        def checked(self, grads, lr, count=None, step=cls.sgd_step):
+            # the only id rows alive are those of the batch's gradients
+            assert sum(ref() is not None for ref in built) == len(grads)
+            step(self, grads, lr, count)
+
+        monkeypatch.setattr(cls, "sgd_step", checked)
     for scorer in ("linear", "mlp"):
+        built.clear()
         train(tiny_corpus, tiny_corpus,
               TrainConfig(scorer=scorer, batch_size=4, label_loss_epochs=1,
                           max_epochs=2, seed=0, mlp_hidden=8, feature_dim=1 << 10))
+        assert built and all(ref() is None for ref in built)
 
 
 def _stored_rows_sha256(ckpt, path):
