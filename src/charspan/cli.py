@@ -176,8 +176,17 @@ def cmd_train(args) -> int:
         dev_corpus = load_corpus(args.dev)
     except TreeFormatError as e:
         raise _located(args.dev, e) from e
-    checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
-    checkpoint.save(args.output)
+    # The checkpoint is saved to a temporary file that replaces the target
+    # only when it is complete, so a failing run leaves no output and no
+    # temporary file, and an existing checkpoint keeps its bytes.
+    temp = _staged(args.output)
+    try:
+        checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
+        checkpoint.save(temp)
+        _commit(temp, args.output)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
     print(f"saved checkpoint (best epoch {checkpoint.epoch}, "
           f"dev parse F1 {checkpoint.best_dev_f1:.4f}) -> {args.output}",
           file=sys.stderr)
@@ -268,7 +277,7 @@ def _replaceable(target: str) -> bool:
 
 
 def _commit(temp: str, target: str) -> None:
-    """Move the finished ``temp`` over ``target``, or copy it there."""
+    """Move the finished ``temp`` over ``target``, or copy its bytes there."""
     if _replaceable(target):
         target = os.path.realpath(target)
         if os.path.exists(target):
@@ -280,11 +289,13 @@ def _commit(temp: str, target: str) -> None:
         os.chmod(temp, mode)
         os.replace(temp, target)
         return
-    with io.open(temp, "r", encoding="utf-8") as src:
+    with open(temp, "rb") as src:
         if target == "-":
-            shutil.copyfileobj(src, sys.stdout)
+            sys.stdout.flush()
+            shutil.copyfileobj(src, sys.stdout.buffer)
+            sys.stdout.buffer.flush()
         else:
-            with io.open(target, "w", encoding="utf-8") as dst:
+            with open(target, "wb") as dst:
                 shutil.copyfileobj(src, dst)
     os.remove(temp)
 

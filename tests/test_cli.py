@@ -8,11 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
-from charspan import cli
+from charspan import cli, trainer
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.labels import NULL_LABEL
 from charspan.scorers import LinearScorer, MLPHead
@@ -343,6 +344,51 @@ def test_train_streams_epoch_lines(workdir, tmp_path, monkeypatch, capsys):
         "charspan: error: diverged in epoch 2",
     ]
     assert not (tmp_path / "m.npz").exists()
+
+
+def test_failing_train_save_keeps_the_old_checkpoint(workdir, tmp_path,
+                                                     monkeypatch, capsys):
+    # The save fails after writing its first arrays.  The checkpoint goes to
+    # a temporary file that replaces the target only when complete, so the
+    # old checkpoint keeps its bytes and no temporary file is left.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "model.npz").write_bytes(b"old checkpoint")
+    written = []
+    write_npy = trainer._write_npy
+
+    def failing_write(zf, name, *args, **kwargs):
+        if name == "W_rows":
+            raise OSError(28, "No space left on device")
+        write_npy(zf, name, *args, **kwargs)
+        written.append(name)
+
+    monkeypatch.setattr(trainer, "_write_npy", failing_write)
+    code = cli.main(["train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
+                     str(out / "model.npz"), "--max-epochs", "1"])
+    assert code == 2
+    assert written[-1] == "W_ids"
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "charspan: error: [Errno 28] No space left on device"
+    assert os.listdir(out) == ["model.npz"]
+    assert (out / "model.npz").read_bytes() == b"old checkpoint"
+
+
+def test_train_without_a_temporary_directory_exits_2(workdir, tmp_path,
+                                                     monkeypatch, capsys):
+    # the best-dev copy lives in a temporary file; failing to make one is
+    # an error (exit 2) before the first epoch, with no output file
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main(["train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
+                     str(out / "model.npz"), "--max-epochs", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"charspan: error: \[Errno 2\] No such file or directory: "
+                        r"'%s[^']*'\n" % re.escape(str(missing)), err), err
+    assert os.listdir(out) == []
 
 
 def test_train_config_file_with_flag_override(workdir, tmp_path):

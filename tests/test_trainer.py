@@ -1,6 +1,7 @@
 """Training loop: config, schedule, checkpointing."""
 
 import hashlib
+import time
 import tracemalloc
 import weakref
 
@@ -232,21 +233,57 @@ def test_a_batch_holds_one_gradient_per_sentence():
     assert peaks[10] - peaks[1] < gradients
 
 
-def test_training_keeps_one_best_copy_of_the_weights():
-    # When dev F1 improves, the old best copy goes before the new one is
-    # made, so the table is held at most twice.  The corpus is many short
-    # sentences, so its table dominates every transient: the batch's
-    # gradients, one piece of updates, the trees and the position tables.
+def _traced_best_copy_run(learning_rate: float, seed: int):
+    # The corpus is many short sentences, so its table dominates every
+    # transient: the batch's gradients, one piece of updates, the trees
+    # and the position tables.
     corpus = synthesize_corpus(320, seed=11, median_chars=4.0, max_chars=8)
-    config = TrainConfig(scorer="linear", learning_rate=0.5, batch_size=10,
-                         label_loss_epochs=2, max_epochs=4, seed=0)
+    config = TrainConfig(scorer="linear", learning_rate=learning_rate,
+                         batch_size=10, label_loss_epochs=2, max_epochs=4,
+                         seed=seed)
     history = []
     ckpt, peak = traced_peak(lambda: train(corpus, corpus[:20], config, history))
     f1 = [h["dev_parse_f1"] for h in history]
-    # epoch 1 makes the first copy; at least two later bests replace it
-    assert sum(f > max(f1[:k], default=-1.0) for k, f in enumerate(f1)) >= 3
+    bests = sum(f > max(f1[:k], default=-1.0) for k, f in enumerate(f1))
+    return ckpt, history, bests, peak
+
+
+def test_training_keeps_one_best_copy_of_the_weights():
+    # The best-dev copy lives in a temporary file, rewritten at each of at
+    # least three bests, so training holds the table once; the last epoch
+    # is the best, and the checkpoint takes the live arrays.
+    ckpt, history, bests, peak = _traced_best_copy_run(0.5, 0)
+    assert bests >= 3 and ckpt.epoch == len(history)
     table = ckpt.params["rows"].nbytes
-    assert peak < 2 * table + table // 2
+    assert peak < table + table // 2
+
+
+def test_reading_the_best_copy_back_keeps_one_table():
+    # The best is epoch 3 of 4, so the copy is read back, and only after
+    # the live table is dropped.
+    ckpt, history, bests, peak = _traced_best_copy_run(5.0, 2)
+    assert bests >= 2 and ckpt.epoch < len(history)
+    table = ckpt.params["rows"].nbytes
+    assert peak < table + table // 2
+
+
+def test_training_peak_grows_with_the_table_once():
+    # Four times the sentences make a table about 5.7 times as big; the
+    # peak may grow by that growth once, plus what else grows with the
+    # corpus (trees, position tables).  Holding a second copy of the table
+    # doubles the growth.
+    def run(sentences: int) -> tuple[int, int]:
+        corpus = synthesize_corpus(sentences, seed=11, median_chars=4.0, max_chars=8)
+        config = TrainConfig(scorer="linear", learning_rate=0.5, batch_size=10,
+                             label_loss_epochs=2, max_epochs=2, seed=0)
+        ckpt, peak = traced_peak(lambda: train(corpus, corpus[:20], config))
+        return peak, ckpt.params["rows"].nbytes
+
+    small_peak, small_table = run(100)
+    large_peak, large_table = run(400)
+    table_growth = large_table - small_table
+    assert table_growth > 4 * small_table
+    assert large_peak - small_peak < 1.2 * table_growth + (1 << 20)
 
 
 def test_training_keeps_no_id_matrices(tiny_corpus, monkeypatch):
@@ -318,6 +355,124 @@ def test_mlp_training_arithmetic_is_pinned(tiny_corpus):
         digest.update(ckpt.params[name].tobytes())
     assert digest.hexdigest() == (
         "350bc5925fb695a27f9cd06173a4e23d40c3fac4db4491cfaa179f7085ad69e8")
+
+
+def _frozen_zip_clock(monkeypatch) -> None:
+    # the zip entries' modification times, which zipfile takes from
+    # time.localtime, are the only bytes of an .npz that depend on the clock
+    frozen = time.gmtime(1_700_000_000)
+    monkeypatch.setattr(time, "localtime", lambda *args: frozen)
+
+
+def _checkpoint_sha256(ckpt, path, monkeypatch) -> str:
+    # the saved bytes, then every returned parameter (a linear checkpoint
+    # stores only the nonzero rows)
+    with monkeypatch.context() as patch:
+        _frozen_zip_clock(patch)
+        ckpt.save(path)
+    digest = hashlib.sha256(path.read_bytes())
+    for name in sorted(ckpt.params):
+        digest.update(ckpt.params[name].tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("scorer, max_epochs, epochs_run, best_epoch", [
+    # best in the last epoch run: the checkpoint adopts the live arrays
+    ("linear", 6, 6, 6),
+    ("mlp", 3, 3, 3),
+    # the same runs going on past their best: the best copy is read back,
+    # with the same bytes (the linear run stops on a zero-loss epoch)
+    ("linear", 8, 7, 6),
+    ("mlp", 4, 4, 3),
+])
+def test_best_copy_paths_are_pinned(tiny_corpus, tmp_path, monkeypatch, scorer,
+                                    max_epochs, epochs_run, best_epoch):
+    if scorer == "linear":
+        config = TrainConfig(scorer="linear", learning_rate=0.5, batch_size=4,
+                             label_loss_epochs=2, max_epochs=max_epochs, seed=3)
+        sha256 = "6bdc29141e420daf71e9ad0f701ceabe4b9a86a0a18f6dd53a6e7e045a52e4c5"
+    else:
+        config = TrainConfig(scorer="mlp", learning_rate=0.5, batch_size=4,
+                             label_loss_epochs=2, max_epochs=max_epochs, seed=0,
+                             mlp_hidden=16, feature_dim=1 << 10)
+        sha256 = "bdad72cf22299b1f5c0a62e05bff962e4eaafe4951197ebf4c93711e9f7c5857"
+    history = []
+    ckpt = train(tiny_corpus, tiny_corpus, config, history)
+    assert (len(history), ckpt.epoch) == (epochs_run, best_epoch)
+    assert _checkpoint_sha256(ckpt, tmp_path / "m.npz", monkeypatch) == sha256
+
+
+def _savez_reference(ckpt, path) -> None:
+    """``Checkpoint.save`` through ``np.savez``: the reference for the
+    bytes the streamed save writes."""
+    arrays = {
+        "scorer_kind": np.array(ckpt.scorer_kind),
+        "labels": np.array(ckpt.labels, dtype=str),
+        "feature_dim": np.array(ckpt.feature_dim),
+        "mlp_hidden": np.array(ckpt.mlp_hidden),
+        "dropout": np.array(ckpt.dropout),
+        "epoch": np.array(ckpt.epoch),
+        "best_dev_f1": np.array(ckpt.best_dev_f1),
+        "decays": np.array(ckpt.decays),
+    }
+    if ckpt.scorer_kind == "linear":
+        rows = ckpt.params["rows"]
+        nonzero = np.any(rows != 0.0, axis=1)
+        arrays["W_ids"] = ckpt.params["keys"][nonzero]
+        arrays["W_rows"] = rows[nonzero]
+    else:
+        for name, value in ckpt.params.items():
+            arrays["p_" + name] = value
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def _linear_checkpoint(rows: np.ndarray) -> Checkpoint:
+    keys = np.arange(len(rows), dtype=np.int64) * 7
+    labels = [f"L{k}" for k in range(rows.shape[1])]
+    return Checkpoint("linear", {"keys": keys, "rows": rows}, labels,
+                      LINEAR_FEATURE_DIM, 250, 0.2, 3, 0.75, 1)
+
+
+def _zero_rows_in_several_pieces() -> np.ndarray:
+    rows = np.random.default_rng(5).normal(size=(3000, 4))
+    rows[[0, 1023, 2500, 2999]] = 0.0
+    rows[1024:2048] = 0.0  # a whole piece of zero rows
+    rows[7] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _linear_checkpoint(np.random.default_rng(4).normal(size=(3000, 4))),
+    lambda: _linear_checkpoint(_zero_rows_in_several_pieces()),
+    lambda: _linear_checkpoint(np.zeros((0, 4))),
+    lambda: Checkpoint("mlp", MLPHead(64, 3, hidden=8,
+                                      rng=np.random.default_rng(1)).params(),
+                       ["A", "B", "C"], 64, 8, 0.2, 2, 0.5, 0),
+], ids=["linear-all-nonzero", "linear-zero-rows", "linear-empty", "mlp"])
+def test_save_writes_the_bytes_of_savez(tmp_path, monkeypatch, make):
+    ckpt = make()
+    _frozen_zip_clock(monkeypatch)
+    ckpt.save(tmp_path / "streamed.npz")
+    _savez_reference(ckpt, tmp_path / "reference.npz")
+    assert ((tmp_path / "streamed.npz").read_bytes()
+            == (tmp_path / "reference.npz").read_bytes())
+
+
+@pytest.mark.parametrize("zero_every", [None, 7])
+def test_save_copies_no_table(tmp_path, zero_every):
+    # The rows go to the file as they are, or masked in pieces of 1024;
+    # neither a table-sized copy nor a table-sized mask is made.
+    rows = np.random.default_rng(6).normal(size=(20_000, 165))
+    if zero_every:
+        rows[::zero_every] = 0.0
+    ckpt = _linear_checkpoint(rows)
+    _, peak = traced_peak(lambda: ckpt.save(tmp_path / "m.npz"))
+    assert peak < rows.nbytes // 10
+    with np.load(tmp_path / "m.npz") as data:
+        kept = np.any(rows != 0.0, axis=1)
+        assert np.array_equal(data["W_rows"], rows[kept])
+        assert np.array_equal(data["W_ids"], ckpt.params["keys"][kept])
 
 
 def test_checkpoint_mlp_round_trip(tiny_corpus, tmp_path):
