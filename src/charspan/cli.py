@@ -176,14 +176,14 @@ def cmd_train(args) -> int:
         dev_corpus = load_corpus(args.dev)
     except TreeFormatError as e:
         raise _located(args.dev, e) from e
+    checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
     # The checkpoint is saved to a temporary file that replaces the target
-    # only when it is complete, so a failing run leaves no output and no
+    # only when it is complete, so a failing save leaves no output and no
     # temporary file, and an existing checkpoint keeps its bytes.
     temp = _staged(args.output)
     try:
-        checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
         checkpoint.save(temp)
-        _commit(temp, args.output)
+        _commit(temp, args.output, binary=True)
     finally:
         if os.path.exists(temp):
             os.remove(temp)
@@ -276,8 +276,9 @@ def _replaceable(target: str) -> bool:
     return target != "-" and (os.path.isfile(target) or not os.path.exists(target))
 
 
-def _commit(temp: str, target: str) -> None:
-    """Move the finished ``temp`` over ``target``, or copy its bytes there."""
+def _commit(temp: str, target: str, binary: bool = False) -> None:
+    """Move the finished ``temp`` over ``target``, or copy it there: its
+    UTF-8 text, or its bytes when ``binary``."""
     if _replaceable(target):
         target = os.path.realpath(target)
         if os.path.exists(target):
@@ -289,13 +290,17 @@ def _commit(temp: str, target: str) -> None:
         os.chmod(temp, mode)
         os.replace(temp, target)
         return
-    with open(temp, "rb") as src:
+    kind, encoding = ("b", None) if binary else ("", "utf-8")
+    with io.open(temp, "r" + kind, encoding=encoding) as src:
         if target == "-":
-            sys.stdout.flush()
-            shutil.copyfileobj(src, sys.stdout.buffer)
-            sys.stdout.buffer.flush()
+            if binary:
+                sys.stdout.flush()  # text printed before goes first
+                shutil.copyfileobj(src, sys.stdout.buffer)
+                sys.stdout.buffer.flush()
+            else:
+                shutil.copyfileobj(src, sys.stdout)
         else:
-            with open(target, "wb") as dst:
+            with io.open(target, "w" + kind, encoding=encoding) as dst:
                 shutil.copyfileobj(src, dst)
     os.remove(temp)
 

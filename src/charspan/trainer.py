@@ -17,7 +17,8 @@ checkpoint adopts the live arrays, and otherwise the scorer's arrays are
 dropped before the copy is read back.  ``Checkpoint.save`` streams each
 array into the ``.npz`` without copying it.  Training 960 synthetic
 sentences (a 310 MB table) and saving the checkpoint peaked at 383 MB of
-RSS, against 678 MB with an in-memory best copy (``BENCH_19.json``).
+RSS, against 678 MB with an in-memory best copy (``BENCH_19.json``), with
+the temporary directory on disk; on a tmpfs the file is memory too.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ class Checkpoint:
     def save(self, path) -> None:
         """Write the bytes ``np.savez(f, **arrays)`` writes, one array at a
         time and without copying the weights: a linear table is stored as
-        its nonzero rows keyed by hashed id (``W_ids``, ``W_rows``), taken
-        in pieces of at most ``_SAVE_PIECE_ROWS`` rows when some are zero."""
+        its nonzero rows keyed by hashed id (``W_ids``, ``W_rows``), masked
+        and written in pieces of at most ``_SAVE_PIECE_ROWS`` rows."""
         import zipfile  # as in np.savez: importing the trainer needs none
 
         arrays = {
@@ -188,13 +189,10 @@ class Checkpoint:
                 for start in range(0, len(rows), _SAVE_PIECE_ROWS):
                     piece = rows[start:start + _SAVE_PIECE_ROWS]
                     np.any(piece != 0.0, axis=1, out=nonzero[start:start + len(piece)])
-                if nonzero.all():
-                    ids, pieces = keys, [rows]
-                else:
-                    ids = keys[nonzero]
-                    pieces = (rows[start:start + _SAVE_PIECE_ROWS][
-                                  nonzero[start:start + _SAVE_PIECE_ROWS]]
-                              for start in range(0, len(rows), _SAVE_PIECE_ROWS))
+                ids = keys[nonzero]
+                pieces = (rows[start:start + _SAVE_PIECE_ROWS][
+                              nonzero[start:start + _SAVE_PIECE_ROWS]]
+                          for start in range(0, len(rows), _SAVE_PIECE_ROWS))
                 _write_npy(zf, "W_ids", ids)
                 _write_npy(zf, "W_rows", rows, (len(ids), rows.shape[1]), pieces)
             else:
@@ -278,6 +276,7 @@ def _write_npy(zf, name: str, array: np.ndarray, shape: tuple | None = None,
         np.lib.format.write_array_header_1_0(f, header)
         for piece in pieces:
             f.write(memoryview(np.ascontiguousarray(piece)))
+            del piece  # not held while the next piece is made
 
 
 def _write_params(f, params: dict[str, np.ndarray]) -> list[tuple]:

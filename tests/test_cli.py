@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
+import contextlib
 import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -391,6 +393,23 @@ def test_train_without_a_temporary_directory_exits_2(workdir, tmp_path,
     assert os.listdir(out) == []
 
 
+def test_train_writes_the_checkpoint_to_standard_output(workdir, tmp_path,
+                                                       monkeypatch, capsysbinary):
+    # "-" gets the bytes the same training saves to a file, and the
+    # checkpoint staged in the temporary directory is removed
+    frozen = time.gmtime(1_700_000_000)  # the zip entries' modification time
+    monkeypatch.setattr(time, "localtime", lambda *args: frozen)
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    args = ["train", str(workdir / "gold.txt"), str(workdir / "gold.txt")]
+    assert cli.main([*args, str(tmp_path / "m.npz"), "--max-epochs", "2"]) == 0
+    capsysbinary.readouterr()
+    assert cli.main([*args, "-", "--max-epochs", "2"]) == 0
+    assert capsysbinary.readouterr().out == (tmp_path / "m.npz").read_bytes()
+    assert os.listdir(temp_dir) == []
+
+
 def test_train_config_file_with_flag_override(workdir, tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("max_epochs = 2\nbatch_size = 4\nlearning_rate = 0.5\n",
@@ -535,6 +554,10 @@ def test_parse_output_replaces_a_file_and_writes_through_others(workdir, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == gold
     assert captured.err == "parsed 8 sentences\n"
+    # a standard output that takes only text gets the text
+    with contextlib.redirect_stdout(io.StringIO()) as text_only:
+        assert cli.main(args) == 0
+    assert text_only.getvalue() == gold
 
 
 def test_parse_checkpoint_memory_is_flat_in_the_corpus_size(workdir, checkpoint,

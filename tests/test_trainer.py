@@ -461,8 +461,8 @@ def test_save_writes_the_bytes_of_savez(tmp_path, monkeypatch, make):
 
 @pytest.mark.parametrize("zero_every", [None, 7])
 def test_save_copies_no_table(tmp_path, zero_every):
-    # The rows go to the file as they are, or masked in pieces of 1024;
-    # neither a table-sized copy nor a table-sized mask is made.
+    # The rows are masked and written in pieces of 1024; neither a
+    # table-sized copy nor a table-sized mask is made.
     rows = np.random.default_rng(6).normal(size=(20_000, 165))
     if zero_every:
         rows[::zero_every] = 0.0
