@@ -67,35 +67,6 @@ def _read_sentences(path: str):
             yield sentence
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    """``fn`` over ``items``, yielded in order; with threads, at most
-    ``threads + 1`` items are in flight, so an iterator is read only as
-    fast as the results are used."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    # only a threaded run pays for importing the pool (and its logging)
-    from concurrent.futures import ThreadPoolExecutor
-    pending = deque()
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except Exception:
-                for future in pending:  # an earlier item's error comes first
-                    future.result()
-                raise
-            pending.append(pool.submit(fn, item))
-            del item  # not held while the next item is read
-            while len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _named_errors(path: str, blocks):
     """The blocks of ``read_score_file``, its errors prefixed with ``path``."""
     while True:
@@ -237,7 +208,7 @@ def _parsed_char_trees(args):
             ct, _ = decode_sentence(scorer, sentence, vocab, decode_cfg)
             return ct
 
-        yield from _map_maybe_parallel(run, _read_sentences(args.input), args.threads)
+        yield from map(run, _read_sentences(args.input))
         return
 
     def run_block(item):
@@ -252,8 +223,7 @@ def _parsed_char_trees(args):
     # each block is decoded and dropped before the next one is read
     with io.open(args.score_file, "r", encoding="utf-8") as f:
         blocks = _named_errors(args.score_file, read_score_file(f))
-        yield from _map_maybe_parallel(run_block, _paired(blocks, sentences),
-                                       args.threads)
+        yield from map(run_block, _paired(blocks, sentences))
 
 
 def _staged(target: str) -> str:
@@ -405,7 +375,8 @@ def cmd_bench(args) -> int:
     rates = []
     for rep in range(args.repeats):
         t0 = time.perf_counter()
-        deque(_map_maybe_parallel(decode_one, items, args.threads), maxlen=0)
+        for item in items:
+            decode_one(item)
         dt = time.perf_counter() - t0
         rate = len(items) / dt
         rates.append(rate)
@@ -415,7 +386,6 @@ def cmd_bench(args) -> int:
     std = float(np.std(rates))
     print(f"sentences={len(items)} repeats={args.repeats} "
           f"include_scoring={str(bool(args.include_scoring)).lower()} "
-          f"threads={args.threads} "
           f"sents_per_sec_mean={mean:.2f} sents_per_sec_std={std:.2f}")
     return 0
 
@@ -476,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-", help="word-level trees ('-' = stdout)")
     p.add_argument("--segs", help="also write segmented sentences")
     p.add_argument("--char-trees", help="also write raw character-level trees")
-    p.add_argument("--threads", type=int, default=1)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_parse)
 
@@ -493,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--include-scoring", action="store_true",
                    help="time scoring too, not just decoding")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
@@ -505,9 +473,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "parse" and args.checkpoint and not args.input:
         parser.error("--input is required with --checkpoint")
-    if (getattr(args, "command", None) == "bench" and args.include_scoring
-            and not args.checkpoint):
-        parser.error("--include-scoring requires --checkpoint")
+    if getattr(args, "command", None) == "bench":
+        if args.include_scoring and not args.checkpoint:
+            parser.error("--include-scoring requires --checkpoint")
+        if args.repeats < 1:
+            parser.error("--repeats must be at least 1")
+        if args.seed < 0:
+            parser.error("--seed must be non-negative")
     try:
         return args.func(args)
     except TreeFormatError as e:

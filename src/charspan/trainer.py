@@ -69,12 +69,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.scorer not in ("linear", "mlp"):
             raise ValueError(f"unknown scorer {self.scorer!r}")
-        for name in ("decay_factor", "decay_patience", "max_decay", "batch_size",
+        for name in ("decay_patience", "max_decay", "batch_size",
                      "label_loss_epochs", "max_epochs", "mlp_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "decay_factor"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so the test is written to pass only
+            # finite positive values
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.margin_mode not in MARGIN_MODES:

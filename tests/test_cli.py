@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -11,12 +12,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charspan import cli, trainer
-from charspan.chartree import gold_span_labels, to_char_tree
+from charspan.chartree import gold_span_labels, load_char_trees, to_char_tree
 from charspan.labels import NULL_LABEL
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
@@ -253,23 +255,19 @@ def test_parse_sentence_count_mismatch_counts_every_block(workdir, tmp_path, cap
     assert not out.exists()
 
 
-def test_parse_reports_the_first_fault_whatever_the_threads(workdir, tmp_path,
-                                                            capsys):
+def test_parse_reports_the_first_fault(workdir, tmp_path, capsys):
     # sentence 1 has the wrong length and the input ends after sentence 2:
-    # with threads, the count error is found while sentence 1 is still in
-    # the pool, and its error must still come first
+    # the length error is reached before the count error
     lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
     sents = tmp_path / "sents.txt"
     sents.write_text("\n".join([lines[0], lines[1] + "嗯", lines[2]]) + "\n",
                      encoding="utf-8")
-    for threads in ("1", "2", "3"):
-        code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
-                         "--input", str(sents), "--output", str(tmp_path / "t.txt"),
-                         "--threads", threads])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"charspan: error: sentence 1: score file says n={len(lines[1])}, "
-            f"input line has {len(lines[1]) + 1} characters\n"), threads
+    code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
+                     "--input", str(sents), "--output", str(tmp_path / "t.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"charspan: error: sentence 1: score file says n={len(lines[1])}, "
+        f"input line has {len(lines[1]) + 1} characters\n")
     assert sorted(os.listdir(tmp_path)) == ["sents.txt"]
 
 
@@ -424,13 +422,18 @@ def test_train_config_file_with_flag_override(workdir, tmp_path):
 def test_train_rejects_bad_config(workdir, tmp_path):
     # a bad value must stop the run before the first epoch, not when the
     # loss that reads it first runs
-    for text, message in [("optimizer = adam\n", "unknown key"),
-                          ("margin_mode = bogus\n", "unknown margin mode 'bogus'"),
-                          ("loss_spans = some\n", "unknown span set 'some'")]:
-        cfg = tmp_path / "bad.cfg"
+    cfg = tmp_path / "bad.cfg"
+    for text, flags, message in [
+            ("optimizer = adam\n", (), "unknown key"),
+            ("margin_mode = bogus\n", (), "unknown margin mode 'bogus'"),
+            ("loss_spans = some\n", (), "unknown span set 'some'"),
+            ("", ("--learning-rate", "nan"), "learning_rate must be finite and positive"),
+            ("", ("--learning-rate", "inf"), "learning_rate must be finite and positive"),
+            ("", ("--decay-factor", "nan"), "decay_factor must be finite and positive"),
+            ("", ("--seed", "-1"), "seed must be non-negative")]:
         cfg.write_text(text, encoding="utf-8")
         r = run_cli("train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
-                    str(tmp_path / "m.npz"), "--config", str(cfg))
+                    str(tmp_path / "m.npz"), "--config", str(cfg), *flags)
         assert r.returncode == 2
         assert message in r.stderr
         assert "epoch=" not in r.stderr
@@ -439,9 +442,10 @@ def test_train_rejects_bad_config(workdir, tmp_path):
 def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):
     out = tmp_path / "pred.txt"
     segs = tmp_path / "segs.txt"
+    chars = tmp_path / "chars.txt"
     r = run_cli("parse", "--checkpoint", str(checkpoint),
                 "--input", str(workdir / "sents.txt"),
-                "--output", str(out), "--segs", str(segs))
+                "--output", str(out), "--segs", str(segs), "--char-trees", str(chars))
     assert r.returncode == 0, r.stderr
     trees = load_corpus(out)
     sents = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
@@ -450,22 +454,7 @@ def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):
         assert "".join(tree.leaves()) == sentence
     seg_lines = segs.read_text(encoding="utf-8").splitlines()
     assert [s.replace(" ", "") for s in seg_lines] == sents
-
-
-def test_parse_threads_match_single_thread(workdir, checkpoint, tmp_path):
-    for name, source in (("ckpt", ("--checkpoint", str(checkpoint))),
-                         ("scores", ("--score-file", str(workdir / "scores.txt")))):
-        outputs = {}
-        for threads in ("1", "2", "3"):
-            paths = [tmp_path / f"{name}_{threads}_{kind}.txt"
-                     for kind in ("trees", "segs", "chars")]
-            r = run_cli("parse", *source, "--input", str(workdir / "sents.txt"),
-                        "--output", str(paths[0]), "--segs", str(paths[1]),
-                        "--char-trees", str(paths[2]), "--threads", threads)
-            assert r.returncode == 0, r.stderr
-            outputs[threads] = [path.read_bytes() for path in paths]
-        assert outputs["2"] == outputs["1"] and outputs["3"] == outputs["1"]
-        assert all(len(out.splitlines()) == 8 for out in outputs["1"])
+    assert [ct.sentence() for ct in load_char_trees(chars)] == sents
 
 
 def test_parse_checkpoint_imports_neither_openssl_nor_a_thread_pool(workdir,
@@ -714,6 +703,50 @@ def test_bench_include_scoring_needs_checkpoint(workdir):
     r = run_cli("bench", str(workdir / "gold.txt"), "--include-scoring")
     assert r.returncode == 1
     assert "--include-scoring" in r.stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--repeats", "0"), "--repeats must be at least 1"),
+    (("--repeats", "-2"), "--repeats must be at least 1"),
+    (("--seed", "-1"), "--seed must be non-negative"),
+])
+def test_bench_rejects_bad_arguments_before_any_work(workdir, capsys, flags, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bench", str(workdir / "gold.txt"), *flags])
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: charspan")
+    assert err.endswith(f"charspan: error: {message}\n")
+    assert "repeat=" not in err
+
+
+def test_threads_is_not_an_option(workdir, checkpoint, tmp_path):
+    out = tmp_path / "trees.txt"
+    for args in (["parse", "--checkpoint", str(checkpoint),
+                  "--input", str(workdir / "sents.txt"), "--output", str(out)],
+                 ["bench", str(workdir / "gold.txt"), "--repeats", "1"]):
+        r = run_cli(*args, "--threads", "2")
+        assert r.returncode == 1
+        assert r.stderr.startswith("usage: charspan")
+        assert "unrecognized arguments: --threads 2" in r.stderr
+        assert r.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_flag_in_the_readme_is_an_option():
+    # pip's flag is the one the README may name that charspan does not have
+    parser = cli.build_parser()
+    options = {"--no-build-isolation"}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for sub_action in sub._actions:
+                    options.update(sub_action.option_strings)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme.read_text(encoding="utf-8")))
+    assert flags
+    assert sorted(flags - options) == []
 
 
 def test_bench_with_checkpoint_scoring(workdir, checkpoint):

@@ -52,6 +52,12 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(learning_rate=-0.1)
+    for name in ("learning_rate", "decay_factor"):
+        for value in (0.0, -0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="unknown margin mode 'bogus'"):
