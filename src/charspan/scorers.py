@@ -25,9 +25,10 @@ from the position tables: nothing keeps a sentence's id matrix.
 ``sgd_step`` applies a batch of them, one sentence after another in batch
 order, and within a sentence span by span and feature by feature, the
 order every weight's updates round in.  A sentence's updates land in
-pieces of at most ``_UPDATE_ROWS`` rows, one ``np.subtract.at`` each, so a
-step holds no more than one piece beside the sentence's gradient, however
-long the sentence and however many the labels.
+pieces of whole spans of at most ``scoring._CHUNK_VALUES`` values, one
+``np.subtract.at`` each, so a step holds no more than one piece and its
+flat index beside the sentence's gradient, however long the sentence and
+however many the labels.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import scoring
 from .scoring import PositionIds, SpanRepresentation, span_row
-
-_UPDATE_ROWS = 1024  # most update rows in one np.subtract.at, 8 per span
 
 
 def _rows_at(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -117,8 +117,9 @@ class SentenceGradient(NamedTuple):
     def feature_updates(self, scale: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Every (feature id, ``scale`` times its gradient row) of the
         sentence, span by span and in feature order within a span, in
-        pieces of at most ``_UPDATE_ROWS // 8`` spans."""
-        spans = _UPDATE_ROWS // 8
+        pieces of whole spans: as many as fit their 8 rows per span in
+        ``scoring._CHUNK_VALUES`` values, and at least one."""
+        spans = max(1, scoring._CHUNK_VALUES // (8 * self.feature.shape[1]))
         for start in range(0, len(self.ids), spans):
             ids = self.ids[start:start + spans]
             present = ids >= 0
@@ -134,11 +135,13 @@ def _subtract_rows(table: np.ndarray, pos: np.ndarray, updates: np.ndarray) -> N
 
     numpy's ``ufunc.at`` is several times faster on single elements than on
     whole rows, so this addresses the flattened table.  Its index array is
-    as big as ``updates``, which ``feature_updates`` keeps to one piece.
+    as big as ``updates``, which ``feature_updates`` keeps to one piece, and
+    is written in place: no other array of that size is made.
     """
     width = table.shape[1]
-    np.subtract.at(table.reshape(-1, copy=False),
-                   (pos[:, None] * width + np.arange(width)).ravel(), updates.ravel())
+    flat = np.empty((len(pos), width), dtype=np.intp)
+    np.add((pos * width)[:, None], np.arange(width), out=flat)
+    np.subtract.at(table.reshape(-1, copy=False), flat.ravel(), updates.ravel())
 
 
 def _check_upstream(grad: np.ndarray) -> None:

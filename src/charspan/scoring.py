@@ -317,7 +317,11 @@ def oracle_scores(gold: GoldSpanMap, vocab: LabelVocab) -> SpanScores:
 # (48.9 MB), `parse --score-file` went from 4.69 sentences/sec with float()
 # on every line to 6.22 (BENCH_13.json).
 
-# values per chunk: 0.5 MB of floats, from about 1.2 MB of 17-digit text
+# The package's one working-set budget, in values: 0.5 MB of floats.  It
+# sizes the chunks of score-file reads (from about 1.2 MB of 17-digit
+# text), of checkpoint decoding (decoder.decode_sentence), of SGD updates
+# (scorers.SentenceGradient.feature_updates) and of checkpoint saving
+# (trainer.Checkpoint.save).
 _CHUNK_VALUES = 1 << 16
 
 
@@ -417,7 +421,13 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
     if len(labels) != num_labels:
         raise ValueError(f"line {lineno}: header declares {num_labels} labels, "
                          f"found {len(labels)}")
-    vocab = LabelVocab(labels)
+    if labels[0] != NULL_LABEL:
+        raise ValueError(f"line {lineno}: the first label must be {NULL_TOKEN}, "
+                         f"found {parts[1]!r}")
+    try:
+        vocab = LabelVocab(labels)
+    except ValueError as e:  # a label given twice
+        raise ValueError(f"line {lineno}: {e}") from None
     num_spans = n * (n + 1) // 2
     try:
         # one allocation, which the span lines are parsed straight into

@@ -15,7 +15,9 @@ unnamed temporary file in ``tempfile``'s default directory, rewritten in
 place at each improvement; when the best epoch is the last one run the
 checkpoint adopts the live arrays, and otherwise the scorer's arrays are
 dropped before the copy is read back.  ``Checkpoint.save`` streams each
-array into the ``.npz`` without copying it.  Training 960 synthetic
+array into the ``.npz`` without copying it, masking a linear table's zero
+rows in pieces of at most ``scoring._CHUNK_VALUES`` values, the budget
+that also sizes ``sgd_step``'s pieces.  Training 960 synthetic
 sentences (a 310 MB table) and saving the checkpoint peaked at 383 MB of
 RSS, against 678 MB with an in-memory best copy (``BENCH_19.json``), with
 the temporary directory on disk; on a tmpfs the file is memory too.
@@ -37,6 +39,7 @@ from .chartree import (from_char_tree, gold_span_labels, segmentation_of,
 from .decoder import DecodeConfig, cky_decode, decode_sentence  # noqa: F401
 from .losses import MARGIN_MODES, SPAN_SETS, label_loss, tree_loss
 from .metrics import PRF, parse_f1, seg_f1
+from . import scoring
 from .scorers import LinearScorer, MLPHead, check_keys
 from .scoring import LabelVocab, SpanScores, build_vocab, span_representation
 
@@ -44,9 +47,6 @@ FEATURE_SCORER_LEARNING_RATE = 0.1
 
 LINEAR_FEATURE_DIM = 1 << 20
 MLP_FEATURE_DIM = 1 << 14  # keeps MLP checkpoints at tens of megabytes
-
-# rows of a linear table that ``Checkpoint.save`` masks and copies at a time
-_SAVE_PIECE_ROWS = 1024
 
 
 @dataclass
@@ -73,12 +73,12 @@ class TrainConfig:
                      "label_loss_epochs", "max_epochs", "mlp_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("learning_rate", "decay_factor"):
-            value = getattr(self, name)
-            # NaN fails every comparison, so the test is written to pass only
-            # finite positive values
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        # NaN fails every comparison, so both tests are written to pass
+        # only the values in range
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 < self.decay_factor < 1:
+            raise ValueError("decay_factor must be between 0 and 1, exclusive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
@@ -172,7 +172,8 @@ class Checkpoint:
         """Write the bytes ``np.savez(f, **arrays)`` writes, one array at a
         time and without copying the weights: a linear table is stored as
         its nonzero rows keyed by hashed id (``W_ids``, ``W_rows``), masked
-        and written in pieces of at most ``_SAVE_PIECE_ROWS`` rows."""
+        and written in pieces of as many rows as fit in
+        ``scoring._CHUNK_VALUES`` values, and at least one."""
         import zipfile  # as in np.savez: importing the trainer needs none
 
         arrays = {
@@ -191,14 +192,14 @@ class Checkpoint:
                 _write_npy(zf, name, value)
             if self.scorer_kind == "linear":
                 keys, rows = self.params["keys"], self.params["rows"]
+                step = max(1, scoring._CHUNK_VALUES // rows.shape[1])
                 nonzero = np.empty(len(rows), dtype=bool)
-                for start in range(0, len(rows), _SAVE_PIECE_ROWS):
-                    piece = rows[start:start + _SAVE_PIECE_ROWS]
+                for start in range(0, len(rows), step):
+                    piece = rows[start:start + step]
                     np.any(piece != 0.0, axis=1, out=nonzero[start:start + len(piece)])
                 ids = keys[nonzero]
-                pieces = (rows[start:start + _SAVE_PIECE_ROWS][
-                              nonzero[start:start + _SAVE_PIECE_ROWS]]
-                          for start in range(0, len(rows), _SAVE_PIECE_ROWS))
+                pieces = (rows[start:start + step][nonzero[start:start + step]]
+                          for start in range(0, len(rows), step))
                 _write_npy(zf, "W_ids", ids)
                 _write_npy(zf, "W_rows", rows, (len(ids), rows.shape[1]), pieces)
             else:
@@ -207,8 +208,9 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint; a missing array, one of the wrong shape, linear
-        ``W_ids`` that are not strictly increasing integer ids below
+        """Read a checkpoint; a missing array, one of the wrong shape,
+        ``labels`` that repeat a label or do not start with the null label,
+        linear ``W_ids`` that are not strictly increasing integer ids below
         ``feature_dim``, weights (``W_rows``, ``p_*``) that are not floats or
         not all finite, or an unknown scorer kind raises ValueError naming
         ``path``."""
@@ -239,6 +241,10 @@ class Checkpoint:
 
             kind = str(array("scorer_kind", ()))
             labels = [str(x) for x in array("labels", (None,))]
+            try:
+                LabelVocab(labels)
+            except ValueError as e:
+                raise ValueError(f"{path}: checkpoint array 'labels': {e}") from None
             dim = int(array("feature_dim", ()))
             hidden = int(array("mlp_hidden", ()))
             if kind == "linear":

@@ -429,7 +429,9 @@ def test_train_rejects_bad_config(workdir, tmp_path):
             ("loss_spans = some\n", (), "unknown span set 'some'"),
             ("", ("--learning-rate", "nan"), "learning_rate must be finite and positive"),
             ("", ("--learning-rate", "inf"), "learning_rate must be finite and positive"),
-            ("", ("--decay-factor", "nan"), "decay_factor must be finite and positive"),
+            ("", ("--decay-factor", "nan"), "decay_factor must be between 0 and 1"),
+            ("", ("--decay-factor", "1"), "decay_factor must be between 0 and 1"),
+            ("", ("--decay-factor", "7"), "decay_factor must be between 0 and 1"),
             ("", ("--seed", "-1"), "seed must be non-negative")]:
         cfg.write_text(text, encoding="utf-8")
         r = run_cli("train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
@@ -589,8 +591,13 @@ def mlp_checkpoint(workdir):
      "'W_ids' has dtype float64, expected integers"),
     ("linear", None, {"W_ids": lambda ids: ids[::-1]},
      "'W_ids': keys must be strictly increasing ids below"),
+    ("linear", None, {"labels": lambda labels: np.append(labels, labels[1])},
+     "'labels': duplicate labels in vocabulary"),
+    ("mlp", None, {"labels": lambda labels: np.roll(labels, 1)},
+     "'labels': label id 0 must be the null label"),
 ], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids",
-        "linear-float-W_ids", "linear-reversed-W_ids"])
+        "linear-float-W_ids", "linear-reversed-W_ids", "linear-repeated-label",
+        "mlp-labels-not-led-by-null"])
 def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
                                             tmp_path, kind, drop, replace,
                                             message):

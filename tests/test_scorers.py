@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from charspan import scorers
+from charspan import scoring
 from charspan.chartree import gold_span_labels, to_char_tree
 from charspan.losses import label_loss
 from charspan.scorers import LinearScorer, MLPHead, SentenceGradient
@@ -111,14 +111,17 @@ def test_linear_sgd_step_batch_mean():
     assert np.array_equal(linear_score(scorer, np.array([2])), scorer.rows[0])
 
 
-def test_linear_sgd_step_lands_updates_span_by_span():
+def test_linear_sgd_step_lands_updates_span_by_span(monkeypatch):
     # Each weight's rounding depends on the order its updates land in:
     # sentence by sentence, then span by span, then feature by feature.
+    # A budget of 16 spans of 8 rows per piece cuts the 300-span sentence
+    # into 19 pieces, the last one short.
+    monkeypatch.setattr(scoring, "_CHUNK_VALUES", 16 * 8 * LABELS)
     rng = np.random.default_rng(3)
     scorer = LinearScorer(DIM, LABELS, keys=np.arange(4),
                           rows=rng.normal(size=(4, LABELS)))
     sentences = []
-    for spans in (6, 300, 5):  # 300 spans: more ids than one np.subtract.at takes
+    for spans in (6, 300, 5):  # 300 spans: more than one np.subtract.at takes
         ids = rng.integers(0, 4, size=(spans, 8))  # 4 ids: every row collides
         ids[rng.random(ids.shape) < 0.2] = -1
         rows = rng.permutation(spans)[:spans - 2]
@@ -126,7 +129,7 @@ def test_linear_sgd_step_lands_updates_span_by_span():
                 * 10.0 ** rng.integers(-8, 8, size=(len(rows), 1)))
         sentences.append(SentenceGradient(ids[rows], grad))
     scale = 0.3 / 5
-    assert (sentences[1].ids >= 0).sum() > scorers._UPDATE_ROWS
+    assert len(sentences[1].ids) > 16
     expected = scorer.rows.copy()
     for g in sentences:
         for ids, update in zip(g.ids, g.feature):
@@ -273,27 +276,31 @@ def test_real_representation_drives_both_heads():
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
-    # A step lands a sentence's 7-8 updates per span in pieces of at most
-    # _UPDATE_ROWS rows, so it never holds them all at once: its traced
-    # peak stays below the sentence's own (S, L) label-loss gradient.
-    tree = synthesize_corpus(1, seed=5, median_chars=122, min_chars=122,
-                             max_chars=122)[0]
-    chars = "".join(tree.leaves())
-    gold_char = to_char_tree(tree)
-    labels = build_vocab([gold_char]).labels
-    vocab = LabelVocab(labels + [f"X{k}" for k in range(165 - len(labels))])
-    dim = 1 << 12
-    rep = span_representation(chars, dim)
-    if kind == "linear":
-        scorer = LinearScorer(dim, len(vocab))
-        scorer.register(np.concatenate([t.ravel() for t in rep.positions]))
-    else:
-        scorer = MLPHead(dim, len(vocab), hidden=64, dropout=0.0,
-                         rng=np.random.default_rng(1))
-    scores = SpanScores(len(chars), len(vocab), scorer.score(rep), validate=False)
-    loss = label_loss(scores, gold_span_labels(gold_char), vocab)
-    grad = scorer.backward(rep, loss.rows, loss.grad)
-    assert len(chars) == 122
-    gradient_bytes = loss.grad.nbytes
-    _, peak = traced_peak(lambda: scorer.sgd_step([grad], lr=0.1))
-    assert peak < gradient_bytes
+    # A step lands a sentence's 7-8 updates per span in pieces of whole
+    # spans of at most _CHUNK_VALUES values, so it never holds them all at
+    # once: its traced peak stays below the sentence's own (S, L)
+    # label-loss gradient, and within a few budgets at 1,000 labels as at
+    # 165 (two of them: a piece and its flat index into the table).
+    for length, num_labels in [(122, 165), (64, 1_000)]:
+        tree = synthesize_corpus(1, seed=5, median_chars=length, min_chars=length,
+                                 max_chars=length)[0]
+        chars = "".join(tree.leaves())
+        gold_char = to_char_tree(tree)
+        labels = build_vocab([gold_char]).labels
+        vocab = LabelVocab(labels + [f"X{k}" for k in range(num_labels - len(labels))])
+        dim = 1 << 12
+        rep = span_representation(chars, dim)
+        if kind == "linear":
+            scorer = LinearScorer(dim, len(vocab))
+            scorer.register(np.concatenate([t.ravel() for t in rep.positions]))
+        else:
+            scorer = MLPHead(dim, len(vocab), hidden=64, dropout=0.0,
+                             rng=np.random.default_rng(1))
+        scores = SpanScores(len(chars), len(vocab), scorer.score(rep), validate=False)
+        loss = label_loss(scores, gold_span_labels(gold_char), vocab)
+        grad = scorer.backward(rep, loss.rows, loss.grad)
+        assert len(chars) == length
+        gradient_bytes = loss.grad.nbytes
+        _, peak = traced_peak(lambda: scorer.sgd_step([grad], lr=0.1))
+        assert peak < gradient_bytes, num_labels
+        assert peak < 3 * scoring._CHUNK_VALUES * 8, num_labels

@@ -402,6 +402,10 @@ def _one_span_line(header):
     (lambda t: t.replace("#scores 0 2 3", "#scores 0 x 3"), "non-integer"),
     (lambda t: "", "empty score file"),
     (lambda t: t.replace("#labels NULL @1 NN", "#labels NULL @1"), "labels"),
+    (lambda t: t.replace("#labels NULL @1 NN", "#labels NULL @1 @1"),
+     "^line 2: duplicate labels in vocabulary$"),
+    (lambda t: t.replace("#labels NULL @1 NN", "#labels @1 NULL NN"),
+     "^line 2: the first label must be NULL, found '@1'$"),
     (lambda t: t[:t.index("#labels")], "line 1: missing '#labels' line"),
     (_one_span_line("#scores 0 2 3"), "line 1: expected 3 span lines, found 1"),
     # too large to allocate here, or, where memory overcommits, truncated

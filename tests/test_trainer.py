@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from charspan import scoring
 from charspan.chartree import to_char_tree
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import SpanRepresentation, build_vocab, score_spans
@@ -52,10 +53,14 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(learning_rate=-0.1)
-    for name in ("learning_rate", "decay_factor"):
-        for value in (0.0, -0.5, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-                TrainConfig(**{name: value})
+    for value in (0.0, -0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainConfig(learning_rate=value)
+    # a factor of 1 or more would keep or raise the rate at each "decay"
+    for value in (0.0, -0.5, 1.0, 7.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="decay_factor must be between 0 and 1"):
+            TrainConfig(decay_factor=value)
+    assert TrainConfig(decay_factor=0.999).decay_factor == 0.999
     with pytest.raises(ValueError, match="seed must be non-negative"):
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="dropout"):
@@ -441,9 +446,11 @@ def _linear_checkpoint(rows: np.ndarray) -> Checkpoint:
 
 
 def _zero_rows_in_several_pieces() -> np.ndarray:
-    rows = np.random.default_rng(5).normal(size=(3000, 4))
-    rows[[0, 1023, 2500, 2999]] = 0.0
-    rows[1024:2048] = 0.0  # a whole piece of zero rows
+    # 4 labels: save masks _CHUNK_VALUES // 4 rows at a time
+    piece = scoring._CHUNK_VALUES // 4
+    rows = np.random.default_rng(5).normal(size=(3 * piece - 100, 4))
+    rows[[0, piece - 1, piece * 5 // 2, -1]] = 0.0
+    rows[piece:2 * piece] = 0.0  # a whole piece of zero rows
     rows[7] = -0.0
     return rows
 
@@ -467,18 +474,21 @@ def test_save_writes_the_bytes_of_savez(tmp_path, monkeypatch, make):
 
 @pytest.mark.parametrize("zero_every", [None, 7])
 def test_save_copies_no_table(tmp_path, zero_every):
-    # The rows are masked and written in pieces of 1024; neither a
-    # table-sized copy nor a table-sized mask is made.
-    rows = np.random.default_rng(6).normal(size=(20_000, 165))
-    if zero_every:
-        rows[::zero_every] = 0.0
-    ckpt = _linear_checkpoint(rows)
-    _, peak = traced_peak(lambda: ckpt.save(tmp_path / "m.npz"))
-    assert peak < rows.nbytes // 10
-    with np.load(tmp_path / "m.npz") as data:
-        kept = np.any(rows != 0.0, axis=1)
-        assert np.array_equal(data["W_rows"], rows[kept])
-        assert np.array_equal(data["W_ids"], ckpt.params["keys"][kept])
+    # The rows are masked and written in pieces of at most _CHUNK_VALUES
+    # values; neither a table-sized copy nor a table-sized mask is made,
+    # and a piece takes no more memory at 1,000 labels than at 165.
+    for shape in [(20_000, 165), (3_000, 1_000)]:
+        rows = np.random.default_rng(6).normal(size=shape)
+        if zero_every:
+            rows[::zero_every] = 0.0
+        ckpt = _linear_checkpoint(rows)
+        _, peak = traced_peak(lambda: ckpt.save(tmp_path / "m.npz"))
+        assert peak < rows.nbytes // 10, shape
+        assert peak < 2 * scoring._CHUNK_VALUES * 8, shape
+        with np.load(tmp_path / "m.npz") as data:
+            kept = np.any(rows != 0.0, axis=1)
+            assert np.array_equal(data["W_rows"], rows[kept])
+            assert np.array_equal(data["W_ids"], ckpt.params["keys"][kept])
 
 
 def test_checkpoint_mlp_round_trip(tiny_corpus, tmp_path):
