@@ -5,7 +5,14 @@ plus segmentation output), train, parse (checkpoint or score file ->
 trees), eval (joint seg/parse report), bench (decode throughput).
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data error.
-Logs go to standard error; data goes to files or standard output.
+Logs go to standard error; data goes to files or standard output.  An
+input that cannot be read as its kind (a malformed tree or sentence, bytes
+that are not UTF-8, a damaged checkpoint) is a data error that names the
+file, and the line in a text file.
+
+The ``train`` flags are made from ``trainer.SETTINGS``, one per
+``TrainConfig`` field, with that field's cast and allowed values; a flag
+given beats the same key in the ``--config`` file.
 """
 
 from __future__ import annotations
@@ -19,16 +26,16 @@ import sys
 import tempfile
 import time
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
 from .chartree import (BAD_LEAF_CHARS, from_char_tree, load_char_trees,
                        save_char_trees, to_char_tree)
 from .decoder import DecodeConfig, cky_decode, decode_sentence
-from .losses import MARGIN_MODES, SPAN_SETS
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
-from .trainer import Checkpoint, TrainConfig, load_train_config, train
+from .trainer import SETTINGS, Checkpoint, TrainConfig, load_train_config, train
 from .treebank import (TreeFormatError, load_corpus, save_corpus,
                        serialize_bracketed)
 
@@ -51,20 +58,48 @@ def _located(path: str, err: TreeFormatError) -> ValueError:
     return ValueError(f"{path}: {err}")
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> ValueError:
+    """``err``, met reading ``path`` as UTF-8 text, as an error naming the
+    file and its first line that is not UTF-8.  A text reader decodes a
+    block of lines at a time, so the line is found again in the bytes."""
+    with io.open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ValueError(f"{path}: line {lineno}: {e}")
+    return ValueError(f"{path}: {err}")
+
+
+def _read(load, path: str, **kwargs):
+    """``load(path, **kwargs)``, its format and encoding errors naming
+    ``path`` and the line."""
+    try:
+        return load(path, **kwargs)
+    except TreeFormatError as e:
+        raise _located(path, e) from e
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
+
+
 def _read_sentences(path: str):
     """The non-blank lines of ``path``, stripped, read as they are asked
     for.  A line holding a character no leaf can hold (a space, a tab or a
-    parenthesis) raises ValueError naming the file and the line."""
+    parenthesis) or bytes that are not UTF-8 raises ValueError naming the
+    file and the line."""
     with io.open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            sentence = line.strip()
-            if not sentence:
-                continue
-            if not BAD_LEAF_CHARS.isdisjoint(sentence):
-                bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
-                raise ValueError(f"{path}: line {lineno}: {bad!r} cannot be a "
-                                 f"character of a sentence")
-            yield sentence
+        try:
+            for lineno, line in enumerate(f, start=1):
+                sentence = line.strip()
+                if not sentence:
+                    continue
+                if not BAD_LEAF_CHARS.isdisjoint(sentence):
+                    bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
+                    raise ValueError(f"{path}: line {lineno}: {bad!r} cannot be a "
+                                     f"character of a sentence")
+                yield sentence
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from None
 
 
 def _named_errors(path: str, blocks):
@@ -81,10 +116,7 @@ def _named_errors(path: str, blocks):
 
 
 def cmd_transform(args) -> int:
-    try:
-        corpus = load_corpus(args.input, strip_tags=args.strip_tags)
-    except TreeFormatError as e:
-        raise _located(args.input, e) from e
+    corpus = _read(load_corpus, args.input, strip_tags=args.strip_tags)
     char_trees = [to_char_tree(t) for t in corpus]
     save_char_trees(char_trees, args.output)
     print(f"transformed {len(char_trees)} trees -> {args.output}", file=sys.stderr)
@@ -92,10 +124,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_detransform(args) -> int:
-    try:
-        char_trees = load_char_trees(args.input)
-    except TreeFormatError as e:
-        raise _located(args.input, e) from e
+    char_trees = _read(load_char_trees, args.input)
     trees = []
     segs = []
     for ct in char_trees:
@@ -112,19 +141,9 @@ def cmd_detransform(args) -> int:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    config = load_train_config(args.config) if args.config else TrainConfig()
-    overrides = {}
-    for name in ("scorer", "learning_rate", "decay_factor", "decay_patience",
-                 "max_decay", "batch_size", "label_loss_epochs", "max_epochs",
-                 "mlp_hidden", "dropout", "seed", "margin_mode", "loss_spans",
-                 "feature_dim"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
-    return config
+    config = _read(load_train_config, args.config) if args.config else TrainConfig()
+    return replace(config, **{key: getattr(args, key) for key in SETTINGS
+                              if getattr(args, key) is not None})
 
 
 class _EpochLog(list):
@@ -139,14 +158,8 @@ class _EpochLog(list):
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
-    try:
-        train_corpus = load_corpus(args.train)
-    except TreeFormatError as e:
-        raise _located(args.train, e) from e
-    try:
-        dev_corpus = load_corpus(args.dev)
-    except TreeFormatError as e:
-        raise _located(args.dev, e) from e
+    train_corpus = _read(load_corpus, args.train)
+    dev_corpus = _read(load_corpus, args.dev)
     checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
     # The checkpoint is saved to a temporary file that replaces the target
     # only when it is complete, so a failing save leaves no output and no
@@ -318,14 +331,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        gold = load_corpus(args.gold)
-    except TreeFormatError as e:
-        raise _located(args.gold, e) from e
-    try:
-        pred = load_corpus(args.pred)
-    except TreeFormatError as e:
-        raise _located(args.pred, e) from e
+    gold = _read(load_corpus, args.gold)
+    pred = _read(load_corpus, args.pred)
     report = joint_report(list(gold), list(pred))
     print(report)
     if args.report_file:
@@ -335,8 +342,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = load_corpus(args.corpus)
-    trees = list(corpus)
+    trees = list(_read(load_corpus, args.corpus))
     if not trees:
         raise ValueError("bench corpus is empty")
     sentences = ["".join(t.leaves()) for t in trees]
@@ -358,33 +364,33 @@ def cmd_bench(args) -> int:
         values = rng.uniform(-1.0, 1.0, (n * (n + 1) // 2, len(vocab)))
         return SpanScores(n, len(vocab), values, validate=False)
 
-    if args.include_scoring:
-        # each sentence is scored as it is decoded, and no scores are kept
-        items = sentences
+    def prepared(index: int, sentence: str):
+        """The timed decode of one sentence.  Its scores are made here, just
+        before it and the same at every repeat, and go with it, so no two
+        sentences' scores are held at once; with --include-scoring the
+        timed decode scores its sentence itself."""
+        if args.include_scoring:
+            return lambda: decode_sentence(scorer, sentence, vocab, decode_cfg)
+        scores = make_scores(index, sentence)
+        return lambda: cky_decode(scores, vocab, decode_cfg, chars=sentence)
 
-        def decode_one(sentence):
-            return decode_sentence(scorer, sentence, vocab, decode_cfg)
-    else:
-        items = [(make_scores(k, s), s) for k, s in enumerate(sentences)]
-
-        def decode_one(item):
-            scores, sentence = item
-            return cky_decode(scores, vocab, decode_cfg, chars=sentence)
-
-    decode_one(items[0])  # warm up (imports, allocator)
+    prepared(0, sentences[0])()  # warm up (imports, allocator)
     rates = []
     for rep in range(args.repeats):
-        t0 = time.perf_counter()
-        for item in items:
-            decode_one(item)
-        dt = time.perf_counter() - t0
-        rate = len(items) / dt
+        dt = 0.0
+        for index, sentence in enumerate(sentences):
+            decode = prepared(index, sentence)
+            t0 = time.perf_counter()
+            decode()
+            dt += time.perf_counter() - t0
+            del decode  # the scores go before the next sentence's are made
+        rate = len(sentences) / dt
         rates.append(rate)
         print(f"repeat={rep + 1} time={dt:.4f}s rate={rate:.1f} sents/sec",
               file=sys.stderr)
     mean = float(np.mean(rates))
     std = float(np.std(rates))
-    print(f"sentences={len(items)} repeats={args.repeats} "
+    print(f"sentences={len(sentences)} repeats={args.repeats} "
           f"include_scoring={str(bool(args.include_scoring)).lower()} "
           f"sents_per_sec_mean={mean:.2f} sents_per_sec_std={std:.2f}")
     return 0
@@ -421,20 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dev")
     p.add_argument("output", help="checkpoint path (.npz)")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--scorer", choices=["linear", "mlp"])
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--decay-patience", type=int)
-    p.add_argument("--max-decay", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--label-loss-epochs", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--mlp-hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--margin-mode", choices=MARGIN_MODES)
-    p.add_argument("--loss-spans", choices=SPAN_SETS)
-    p.add_argument("--feature-dim", type=int)
+    for key, (cast, choices) in SETTINGS.items():  # a flag beats the file
+        p.add_argument("--" + key.replace("_", "-"), type=cast, choices=choices)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="decode sentences to trees")

@@ -392,10 +392,17 @@ class MLPHead:
         """Plain SGD on the batch mean.  Each parameter takes its updates
         span by span, as if every span were a step of its own."""
         scale = lr / (count if count is not None else len(grads))
+        # a span's (H, L) W2 update lands in pieces of rows of at most
+        # _CHUNK_VALUES values
+        step = max(1, scoring._CHUNK_VALUES // self.W2.shape[1])
         for g in grads:
             for ids, updates in g.feature_updates(scale):
                 _subtract_rows(self.W1, ids, updates)
             for hidden, feature, upstream in zip(g.hidden, g.feature, g.grad):
                 self.b1 -= scale * feature
-                self.W2 -= scale * np.outer(hidden, upstream)
+                for start in range(0, len(hidden), step):
+                    piece = np.multiply.outer(hidden[start:start + step], upstream)
+                    piece *= scale
+                    self.W2[start:start + step] -= piece
+                    del piece  # not held while the next piece is made
                 self.b2 -= scale * upstream

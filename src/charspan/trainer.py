@@ -10,6 +10,12 @@ parameters are returned.
 
 The optimizer is plain mini-batch SGD on the batch mean.
 
+``TrainConfig`` is the one declaration of the training settings.
+``SETTINGS`` reads each field's cast from its annotation and its allowed
+values from ``SCORERS``, ``MARGIN_MODES`` and ``SPAN_SETS``; the
+config-file keys (``parse_train_config``) and the ``train`` flags of the
+command line are its keys, so a new field is a new key and a new flag.
+
 Training holds the weight table once.  The best-dev copy lives in an
 unnamed temporary file in ``tempfile``'s default directory, rewritten in
 place at each improvement; when the best epoch is the last one run the
@@ -28,7 +34,7 @@ from __future__ import annotations
 import io
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from . import scoring
 from .scorers import LinearScorer, MLPHead, check_keys
 from .scoring import LabelVocab, SpanScores, build_vocab, span_representation
 
-FEATURE_SCORER_LEARNING_RATE = 0.1
+SCORERS = ("linear", "mlp")
 
 LINEAR_FEATURE_DIM = 1 << 20
 MLP_FEATURE_DIM = 1 << 14  # keeps MLP checkpoints at tens of megabytes
@@ -51,8 +57,8 @@ MLP_FEATURE_DIM = 1 << 14  # keeps MLP checkpoints at tens of megabytes
 
 @dataclass
 class TrainConfig:
-    scorer: str = "linear"              # "linear" | "mlp"
-    learning_rate: float | None = None  # None: preset for the chosen scorer
+    scorer: str = "linear"              # one of SCORERS
+    learning_rate: float = 0.1
     decay_factor: float = 0.5
     decay_patience: int = 3
     max_decay: int = 10
@@ -67,7 +73,7 @@ class TrainConfig:
     feature_dim: int | None = None      # None: preset for the chosen scorer
 
     def __post_init__(self):
-        if self.scorer not in ("linear", "mlp"):
+        if self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         for name in ("decay_patience", "max_decay", "batch_size",
                      "label_loss_epochs", "max_epochs", "mlp_hidden"):
@@ -75,7 +81,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         # NaN fails every comparison, so both tests are written to pass
         # only the values in range
-        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+        if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and positive")
         if not 0 < self.decay_factor < 1:
             raise ValueError("decay_factor must be between 0 and 1, exclusive")
@@ -89,25 +95,25 @@ class TrainConfig:
             raise ValueError(f"unknown span set {self.loss_spans!r}")
 
     @property
-    def effective_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return FEATURE_SCORER_LEARNING_RATE
-
-    @property
     def effective_feature_dim(self) -> int:
         if self.feature_dim is not None:
             return self.feature_dim
         return MLP_FEATURE_DIM if self.scorer == "mlp" else LINEAR_FEATURE_DIM
 
 
-_CONFIG_CASTS = {
-    "scorer": str, "learning_rate": float, "decay_factor": float,
-    "decay_patience": int, "max_decay": int, "batch_size": int,
-    "label_loss_epochs": int, "max_epochs": int, "mlp_hidden": int,
-    "dropout": float, "seed": int, "margin_mode": str, "loss_spans": str,
-    "feature_dim": int,
-}
+def _settings() -> dict[str, tuple[type, tuple | None]]:
+    choices = {"scorer": SCORERS, "margin_mode": MARGIN_MODES, "loss_spans": SPAN_SETS}
+    settings = {}
+    for name, hint in get_type_hints(TrainConfig).items():
+        # the cast of an ``X | None`` field is X
+        cast, = [t for t in get_args(hint) or (hint,) if t is not type(None)]
+        settings[name] = (cast, choices.get(name))
+    return settings
+
+
+# each TrainConfig field, in order, with its cast and its allowed values
+# (None: any value of the cast): the config-file keys and the train flags
+SETTINGS = _settings()
 
 
 def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -122,10 +128,10 @@ def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfi
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_CASTS:
+        if key not in SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            updates[key] = _CONFIG_CASTS[key](value)
+            updates[key] = SETTINGS[key][0](value)
         except ValueError:
             raise ValueError(f"config line {lineno}: bad value {value!r} "
                              f"for {key!r}") from None
@@ -213,13 +219,31 @@ class Checkpoint:
         linear ``W_ids`` that are not strictly increasing integer ids below
         ``feature_dim``, weights (``W_rows``, ``p_*``) that are not floats or
         not all finite, or an unknown scorer kind raises ValueError naming
-        ``path``."""
-        with np.load(path, allow_pickle=False) as data:
+        ``path``, and so does a file that cannot be read as an ``.npz``
+        archive (cut short, damaged, empty, or not an archive at all)."""
+        import zipfile  # as in np.load: importing the trainer needs none
+        import zlib
+
+        # what zipfile, zlib and numpy's format reader raise on damaged
+        # bytes; a file that cannot be opened raises OSError, with its name
+        damaged = (zipfile.BadZipFile, zlib.error, ValueError, EOFError,
+                   NotImplementedError, RuntimeError)
+        try:
+            data = np.load(path, allow_pickle=False)
+        except damaged as e:
+            raise ValueError(f"{path}: cannot read the checkpoint: {e}") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: cannot read the checkpoint: not an .npz archive")
+        with data:
             def array(name: str, shape: tuple) -> np.ndarray:
                 # None in ``shape`` matches any length
                 if name not in data.files:
                     raise ValueError(f"{path}: checkpoint has no {name!r} array")
-                value = data[name]
+                try:
+                    value = data[name]
+                except damaged as e:
+                    raise ValueError(f"{path}: cannot read checkpoint array "
+                                     f"{name!r}: {e}") from None
                 if value.ndim != len(shape) or any(
                         want not in (None, got) for want, got in zip(shape, value.shape)):
                     raise ValueError(f"{path}: checkpoint array {name!r} has shape "
@@ -385,7 +409,7 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
         scorer.register(np.concatenate([table.ravel() for rep in reps
                                         for table in rep.positions]))
 
-    lr = config.effective_learning_rate
+    lr = config.learning_rate
     # dev F1 is never NaN, so epoch 1 always beats -1 and writes best_layout
     best_f1 = -1.0
     best_layout: list[tuple] = []

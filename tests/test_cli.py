@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -129,6 +130,35 @@ def test_transform_reports_line_number(workdir, tmp_path):
     assert r.returncode == 2
     assert "charspan: error:" in r.stderr
     assert "line 2" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "parse-input", "eval-gold", "eval-pred", "train-corpus", "train-config",
+    "transform", "detransform", "bench"])
+def test_input_that_is_not_utf8_names_file_and_line(workdir, checkpoint, tmp_path,
+                                                    capsys, command):
+    # a good first line, then a 0xff byte, which no UTF-8 text holds
+    text = {"parse-input": "好\n", "train-config": "seed = 1\n# "}.get(command,
+                                                                    "(IP (NN 好))\n(IP (NN ")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text.encode("utf-8") + b"\xff\n")
+    where = len(text.encode("utf-8").split(b"\n")[1])  # the byte's place in its line
+    gold, out = str(workdir / "gold.txt"), str(tmp_path / "out")
+    args = {"parse-input": ["parse", "--checkpoint", str(checkpoint), "--input", str(bad),
+                            "--output", out],
+            "eval-gold": ["eval", str(bad), gold],
+            "eval-pred": ["eval", gold, str(bad)],
+            "train-corpus": ["train", gold, str(bad), out],
+            "train-config": ["train", gold, gold, out, "--config", str(bad)],
+            "transform": ["transform", str(bad), out],
+            "detransform": ["detransform", str(bad), out],
+            "bench": ["bench", str(bad)]}[command]
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        f"charspan: error: {bad}: line 2: 'utf-8' codec can't decode byte 0xff in "
+        f"position {where}: invalid start byte\n")
+    assert not os.path.exists(out)
 
 
 def test_detransform_rejects_nonbinary(tmp_path):
@@ -441,6 +471,59 @@ def test_train_rejects_bad_config(workdir, tmp_path):
         assert "epoch=" not in r.stderr
 
 
+# the train settings: key, type, a value, another value, a value that is
+# not one, and the message of that value in a config file
+TRAIN_SETTINGS = [
+    ("scorer", str, "mlp", "linear", "cnn", "unknown scorer 'cnn'"),
+    ("learning_rate", float, "0.25", "0.5", "fast", "bad value 'fast' for 'learning_rate'"),
+    ("decay_factor", float, "0.25", "0.75", "x", "bad value 'x' for 'decay_factor'"),
+    ("decay_patience", int, "4", "2", "1.5", "bad value '1.5' for 'decay_patience'"),
+    ("max_decay", int, "5", "2", "x", "bad value 'x' for 'max_decay'"),
+    ("batch_size", int, "6", "2", "many", "bad value 'many' for 'batch_size'"),
+    ("label_loss_epochs", int, "7", "2", "x", "bad value 'x' for 'label_loss_epochs'"),
+    ("max_epochs", int, "8", "2", "x", "bad value 'x' for 'max_epochs'"),
+    ("mlp_hidden", int, "9", "2", "x", "bad value 'x' for 'mlp_hidden'"),
+    ("dropout", float, "0.25", "0.5", "x", "bad value 'x' for 'dropout'"),
+    ("seed", int, "10", "2", "x", "bad value 'x' for 'seed'"),
+    ("margin_mode", str, "hamming", "flat", "bogus", "unknown margin mode 'bogus'"),
+    ("loss_spans", str, "gold", "all", "some", "unknown span set 'some'"),
+    ("feature_dim", int, "64", "128", "x", "bad value 'x' for 'feature_dim'"),
+]
+
+
+@pytest.mark.parametrize("key, cast, value, other, bad, message", TRAIN_SETTINGS,
+                         ids=[setting[0] for setting in TRAIN_SETTINGS])
+def test_train_setting_as_flag_and_config_key(workdir, tmp_path, capsys, key, cast,
+                                              value, other, bad, message):
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "t.cfg"
+    train = ["train", str(workdir / "gold.txt"), str(workdir / "gold.txt"),
+             str(tmp_path / "m.npz")]
+
+    def config(*args):
+        return cli._train_config_from_args(cli.build_parser().parse_args([*train, *args]))
+
+    # a flag, a config-file key, and both: the flag wins
+    setting = getattr(config(flag, value), key)
+    assert type(setting) is cast and setting == cast(value)
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    setting = getattr(config("--config", str(cfg)), key)
+    assert type(setting) is cast and setting == cast(value)
+    assert getattr(config("--config", str(cfg), flag, other), key) == cast(other)
+    # a value the setting cannot take: a usage error as a flag, a data
+    # error in a config file, both before any work
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*train, flag, bad])
+    assert exit_info.value.code == 1
+    assert f"charspan train: error: argument {flag}: invalid " in capsys.readouterr().err
+    cfg.write_text(f"{key} = {bad}\n", encoding="utf-8")
+    assert cli.main([*train, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("charspan: error: ") and err.endswith(f"{message}\n")
+    assert "epoch=" not in err
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_parse_with_checkpoint(workdir, checkpoint, tmp_path):
     out = tmp_path / "pred.txt"
     segs = tmp_path / "segs.txt"
@@ -583,32 +666,64 @@ def mlp_checkpoint(workdir):
     return path
 
 
-@pytest.mark.parametrize("kind, drop, replace, message", [
-    ("mlp", "p_W2", {}, "no 'p_W2' array"),
-    ("mlp", None, {"p_b1": np.zeros(1)}, r"'p_b1' has shape \(1,\), expected \(4,\)"),
-    ("linear", "W_ids", {}, "no 'W_ids' array"),
-    ("linear", None, {"W_ids": lambda ids: ids + 0.5},
+def _flip_in(member: str):
+    """Damage: one byte of ``member``'s array data flipped."""
+    def damage(data: bytes) -> bytes:
+        # stored members: the .npy magic starts the member's data, and the
+        # array's bytes follow a header of at most 128 bytes
+        at = data.index(b"\x93NUMPY", data.index(member.encode())) + 200
+        return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+    return damage
+
+
+def _npy_bytes(data: bytes) -> bytes:
+    out = io.BytesIO()
+    np.save(out, np.zeros(3))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("kind, drop, replace, damage, message", [
+    ("mlp", "p_W2", {}, None, "no 'p_W2' array"),
+    ("mlp", None, {"p_b1": np.zeros(1)}, None,
+     r"'p_b1' has shape \(1,\), expected \(4,\)"),
+    ("linear", "W_ids", {}, None, "no 'W_ids' array"),
+    ("linear", None, {"W_ids": lambda ids: ids + 0.5}, None,
      "'W_ids' has dtype float64, expected integers"),
-    ("linear", None, {"W_ids": lambda ids: ids[::-1]},
+    ("linear", None, {"W_ids": lambda ids: ids[::-1]}, None,
      "'W_ids': keys must be strictly increasing ids below"),
-    ("linear", None, {"labels": lambda labels: np.append(labels, labels[1])},
+    ("linear", None, {"labels": lambda labels: np.append(labels, labels[1])}, None,
      "'labels': duplicate labels in vocabulary"),
-    ("mlp", None, {"labels": lambda labels: np.roll(labels, 1)},
+    ("mlp", None, {"labels": lambda labels: np.roll(labels, 1)}, None,
      "'labels': label id 0 must be the null label"),
+    # a damaged file: the checkpoint's bytes changed, or other bytes
+    ("linear", None, {}, lambda data: data[:4000],
+     "cannot read the checkpoint: File is not a zip file"),
+    ("linear", None, {}, _flip_in("W_rows.npy"),
+     "cannot read checkpoint array 'W_rows': Bad CRC-32 for file 'W_rows.npy'"),
+    ("linear", None, {}, lambda data: b"PK\x03\x04garbage",
+     "cannot read the checkpoint: File is not a zip file"),
+    ("linear", None, {}, lambda data: "我们今天去公园\n".encode("utf-8"),
+     "cannot read the checkpoint: "),
+    ("linear", None, {}, lambda data: b"", "cannot read the checkpoint: "),
+    ("linear", None, {}, _npy_bytes, "cannot read the checkpoint: not an .npz archive"),
 ], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids",
         "linear-float-W_ids", "linear-reversed-W_ids", "linear-repeated-label",
-        "mlp-labels-not-led-by-null"])
+        "mlp-labels-not-led-by-null", "cut-at-4000-bytes", "flipped-byte-in-W_rows",
+        "zip-magic-then-garbage", "plain-text", "empty", "npy-array"])
 def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
-                                            tmp_path, kind, drop, replace,
-                                            message):
+                                            tmp_path, capsys, kind, drop, replace,
+                                            damage, message):
     source = mlp_checkpoint if kind == "mlp" else checkpoint
-    with np.load(source) as data:
-        arrays = {name: data[name] for name in data.files if name != drop}
-    # a callable replacement derives the bad array from the good one
-    for name, value in replace.items():
-        arrays[name] = value(arrays[name]) if callable(value) else value
     bad = tmp_path / "bad.npz"
-    np.savez(bad, **arrays)
+    if damage is not None:
+        bad.write_bytes(damage(source.read_bytes()))
+    else:
+        with np.load(source) as data:
+            arrays = {name: data[name] for name in data.files if name != drop}
+        # a callable replacement derives the bad array from the good one
+        for name, value in replace.items():
+            arrays[name] = value(arrays[name]) if callable(value) else value
+        np.savez(bad, **arrays)
     args = ("--input", str(workdir / "sents.txt"), "--output", str(tmp_path / "o.txt"))
     r = run_cli("parse", "--checkpoint", str(source), *args)
     assert r.returncode == 0, r.stderr
@@ -616,6 +731,11 @@ def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
     assert r.returncode == 2
     assert re.search(f"charspan: error: {re.escape(str(bad))}: .*{message}", r.stderr), r.stderr
     assert "Traceback" not in r.stderr
+    # bench reads checkpoints with the same loader
+    capsys.readouterr()
+    assert cli.main(["bench", str(workdir / "gold.txt"), "--checkpoint", str(bad)]) == 2
+    assert re.search(f"charspan: error: {re.escape(str(bad))}: .*{message}",
+                     capsys.readouterr().err)
 
 
 def _nan_at_first(array):
@@ -706,6 +826,22 @@ def test_bench_random_scores(workdir):
     assert "sents_per_sec_mean=" in summary
 
 
+def test_bench_memory_stays_at_one_sentence(tmp_path):
+    # Each sentence's random scores are made just before its decode and
+    # dropped after it: holding every sentence's (S, L) array would take
+    # about 14x the largest one on these 20 sentences.
+    corpus = synthesize_corpus(20, seed=3, median_chars=60, min_chars=20, max_chars=80)
+    save_corpus(corpus, tmp_path / "bench.txt")
+    num_labels = len(build_vocab(to_char_tree(t) for t in corpus))
+    n = max(len("".join(t.leaves())) for t in corpus)
+    largest = n * (n + 1) // 2 * num_labels * 8
+    args = ["bench", str(tmp_path / "bench.txt"), "--repeats", "2"]
+    assert cli.main(args) == 0  # first calls fill lazy caches
+    code, peak = traced_peak(lambda: cli.main(args))
+    assert code == 0
+    assert peak < 3 * largest, (peak, largest)
+
+
 def test_bench_include_scoring_needs_checkpoint(workdir):
     r = run_cli("bench", str(workdir / "gold.txt"), "--include-scoring")
     assert r.returncode == 1
@@ -756,6 +892,18 @@ def test_every_flag_in_the_readme_is_an_option():
     assert sorted(flags - options) == []
 
 
+def test_readme_train_keys_and_train_flags_are_the_train_config_fields():
+    keys = [field.name for field in dataclasses.fields(trainer.TrainConfig)]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Train config**", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE) == keys
+    train = next(action for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices["train"]
+    flags = [option for action in train._actions for option in action.option_strings]
+    assert flags == ["-h", "--help", "--config"] + ["--" + key.replace("_", "-")
+                                                    for key in keys]
+
+
 def test_bench_with_checkpoint_scoring(workdir, checkpoint):
     r = run_cli("bench", str(workdir / "gold.txt"), "--repeats", "1",
                 "--checkpoint", str(checkpoint), "--include-scoring")
@@ -765,10 +913,11 @@ def test_bench_with_checkpoint_scoring(workdir, checkpoint):
 
 def test_bench_scores_each_sentence_once_per_decode(workdir, checkpoint, monkeypatch,
                                                     capsys):
-    # --include-scoring scores a sentence inside each timed decode and
-    # keeps no score arrays; without it, each sentence is scored once, up
-    # front.  A scorer gathers a sentence's rows once per scoring, whether
-    # it is scored whole (score) or in chunks.
+    # --include-scoring scores a sentence inside each timed decode;
+    # without it, a sentence is scored just before each timed decode.
+    # Neither keeps a score array from one sentence to the next.  A scorer
+    # gathers a sentence's rows once per scoring, whether it is scored
+    # whole (score) or in chunks.
     start_blocks = LinearScorer.start_blocks
     scored = []
 
@@ -780,11 +929,10 @@ def test_bench_scores_each_sentence_once_per_decode(workdir, checkpoint, monkeyp
     bench = ["bench", str(workdir / "gold.txt"), "--repeats", "2",
              "--checkpoint", str(checkpoint)]
     lengths = [len("".join(t.leaves())) for t in load_corpus(workdir / "gold.txt")]
-    assert cli.main([*bench, "--include-scoring"]) == 0
-    assert scored == lengths[:1] + lengths * 2  # the warm-up, then two repeats
-    scored.clear()
-    assert cli.main(bench) == 0
-    assert scored == lengths
+    for flags in (["--include-scoring"], []):
+        scored.clear()
+        assert cli.main([*bench, *flags]) == 0
+        assert scored == lengths[:1] + lengths * 2  # the warm-up, then two repeats
     assert "include_scoring=false" in capsys.readouterr().out
 
 

@@ -280,8 +280,13 @@ def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
     # spans of at most _CHUNK_VALUES values, so it never holds them all at
     # once: its traced peak stays below the sentence's own (S, L)
     # label-loss gradient, and within a few budgets at 1,000 labels as at
-    # 165 (two of them: a piece and its flat index into the table).
-    for length, num_labels in [(122, 165), (64, 1_000)]:
+    # 165 (two of them: a piece and its flat index into the table).  The
+    # MLP's (H, L) W2 update of a span lands in pieces of rows too, so a
+    # wide hidden layer (256 x 1,000 values) stays within them as well.
+    for length, num_labels, hidden in [(122, 165, 64), (64, 1_000, 64),
+                                       (64, 1_000, 256)]:
+        if kind == "linear" and hidden != 64:
+            continue
         tree = synthesize_corpus(1, seed=5, median_chars=length, min_chars=length,
                                  max_chars=length)[0]
         chars = "".join(tree.leaves())
@@ -294,7 +299,7 @@ def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
             scorer = LinearScorer(dim, len(vocab))
             scorer.register(np.concatenate([t.ravel() for t in rep.positions]))
         else:
-            scorer = MLPHead(dim, len(vocab), hidden=64, dropout=0.0,
+            scorer = MLPHead(dim, len(vocab), hidden=hidden, dropout=0.0,
                              rng=np.random.default_rng(1))
         scores = SpanScores(len(chars), len(vocab), scorer.score(rep), validate=False)
         loss = label_loss(scores, gold_span_labels(gold_char), vocab)

@@ -13,8 +13,7 @@ from charspan.chartree import to_char_tree
 from charspan.scorers import LinearScorer, MLPHead
 from charspan.scoring import SpanRepresentation, build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
-from charspan.trainer import (Checkpoint, FEATURE_SCORER_LEARNING_RATE,
-                              LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
+from charspan.trainer import (Checkpoint, LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
                               TrainConfig, evaluate_dev, load_train_config,
                               parse_train_config, train)
 
@@ -36,11 +35,11 @@ def trained(tiny_corpus):
 
 
 def test_presets():
-    assert FEATURE_SCORER_LEARNING_RATE == 0.1
     assert LINEAR_FEATURE_DIM == 2 ** 20
     assert MLP_FEATURE_DIM == 2 ** 14
-    assert TrainConfig().effective_learning_rate == 0.1
-    assert TrainConfig(learning_rate=0.3).effective_learning_rate == 0.3
+    # one learning rate for both scorers
+    assert TrainConfig().learning_rate == 0.1
+    assert TrainConfig(scorer="mlp").learning_rate == 0.1
     assert TrainConfig().effective_feature_dim == 2 ** 20
     assert TrainConfig(scorer="mlp").effective_feature_dim == 2 ** 14
     assert TrainConfig(feature_dim=64).effective_feature_dim == 64
