@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
                      UNARY_JOIN, is_word_internal)
-from .treebank import SyntaxTree, TreeFormatError, parse_bracketed
+from .treebank import SyntaxTree, TreeFormatError, parse_bracketed, read_trees
 
 # characters no leaf can hold: the bracketed formats split on them
 BAD_LEAF_CHARS = frozenset(" \t\r\n()")
@@ -336,12 +336,12 @@ def _char_tree_of(tree: SyntaxTree) -> CharTree:
 
 
 def parse_char_trees(text: str) -> list[CharTree]:
-    return [_char_tree_of(tree) for tree in parse_bracketed(text)]
+    return parse_bracketed(text, build=_char_tree_of).trees
 
 
 def load_char_trees(path: str | os.PathLike) -> list[CharTree]:
-    with io.open(path, "r", encoding="utf-8") as f:
-        return parse_char_trees(f.read())
+    """The char trees of a UTF-8 file; its errors are those of ``read_trees``."""
+    return read_trees(path, _char_tree_of).trees
 
 
 def save_char_trees(trees: Iterable[CharTree], path: str | os.PathLike) -> None:

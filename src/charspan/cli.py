@@ -5,10 +5,10 @@ plus segmentation output), train, parse (checkpoint or score file ->
 trees), eval (joint seg/parse report), bench (decode throughput).
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data error.
-Logs go to standard error; data goes to files or standard output.  An
-input that cannot be read as its kind (a malformed tree or sentence, bytes
-that are not UTF-8, a damaged checkpoint) is a data error that names the
-file, and the line in a text file.
+Logs go to standard error; data goes to files or standard output.  Each
+reader raises its data errors as ``treebank.DataError``, which ``main``
+prints as ``charspan: error: PATH: line K: message`` (no line outside a
+format of lines); a file that cannot be opened prints its OSError.
 
 The ``train`` flags are made from ``trainer.SETTINGS``, one per
 ``TrainConfig`` field, with that field's cast and allowed values; a flag
@@ -36,7 +36,7 @@ from .decoder import DecodeConfig, cky_decode, decode_sentence
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
 from .trainer import SETTINGS, Checkpoint, TrainConfig, load_train_config, train
-from .treebank import (TreeFormatError, load_corpus, save_corpus,
+from .treebank import (DataError, decode_text, load_corpus, save_corpus,
                        serialize_bracketed)
 
 
@@ -47,76 +47,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _line_at(path: str, pos: int) -> int:
-    with io.open(path, "r", encoding="utf-8") as f:
-        return f.read().count("\n", 0, pos) + 1
-
-
-def _located(path: str, err: TreeFormatError) -> ValueError:
-    if err.pos is not None:
-        return ValueError(f"{path}: line {_line_at(path, err.pos)}: {err}")
-    return ValueError(f"{path}: {err}")
-
-
-def _not_utf8(path: str, err: UnicodeDecodeError) -> ValueError:
-    """``err``, met reading ``path`` as UTF-8 text, as an error naming the
-    file and its first line that is not UTF-8.  A text reader decodes a
-    block of lines at a time, so the line is found again in the bytes."""
-    with io.open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return ValueError(f"{path}: line {lineno}: {e}")
-    return ValueError(f"{path}: {err}")
-
-
-def _read(load, path: str, **kwargs):
-    """``load(path, **kwargs)``, its format and encoding errors naming
-    ``path`` and the line."""
-    try:
-        return load(path, **kwargs)
-    except TreeFormatError as e:
-        raise _located(path, e) from e
-    except UnicodeDecodeError as e:
-        raise _not_utf8(path, e) from None
-
-
 def _read_sentences(path: str):
     """The non-blank lines of ``path``, stripped, read as they are asked
-    for.  A line holding a character no leaf can hold (a space, a tab or a
-    parenthesis) or bytes that are not UTF-8 raises ValueError naming the
-    file and the line."""
-    with io.open(path, "r", encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, start=1):
-                sentence = line.strip()
-                if not sentence:
-                    continue
-                if not BAD_LEAF_CHARS.isdisjoint(sentence):
-                    bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
-                    raise ValueError(f"{path}: line {lineno}: {bad!r} cannot be a "
-                                     f"character of a sentence")
-                yield sentence
-        except UnicodeDecodeError as e:
-            raise _not_utf8(path, e) from None
-
-
-def _named_errors(path: str, blocks):
-    """The blocks of ``read_score_file``, its errors prefixed with ``path``."""
-    while True:
-        try:
-            block = next(blocks)
-        except StopIteration:
-            return
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-        yield block
-        del block  # not held while the next block is read
+    for.  A line that is not UTF-8 or that holds a character no leaf can
+    hold (a space, a tab or a parenthesis) raises DataError naming the file
+    and the line."""
+    with io.open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            sentence = decode_text(raw, path, lineno).strip()
+            if not sentence:
+                continue
+            if not BAD_LEAF_CHARS.isdisjoint(sentence):
+                bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
+                raise DataError(f"{bad!r} cannot be a character of a sentence",
+                                path, lineno)
+            yield sentence
 
 
 def cmd_transform(args) -> int:
-    corpus = _read(load_corpus, args.input, strip_tags=args.strip_tags)
+    corpus = load_corpus(args.input, strip_tags=args.strip_tags)
     char_trees = [to_char_tree(t) for t in corpus]
     save_char_trees(char_trees, args.output)
     print(f"transformed {len(char_trees)} trees -> {args.output}", file=sys.stderr)
@@ -124,7 +73,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_detransform(args) -> int:
-    char_trees = _read(load_char_trees, args.input)
+    char_trees = load_char_trees(args.input)
     trees = []
     segs = []
     for ct in char_trees:
@@ -141,7 +90,7 @@ def cmd_detransform(args) -> int:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    config = _read(load_train_config, args.config) if args.config else TrainConfig()
+    config = load_train_config(args.config) if args.config else TrainConfig()
     return replace(config, **{key: getattr(args, key) for key in SETTINGS
                               if getattr(args, key) is not None})
 
@@ -158,8 +107,8 @@ class _EpochLog(list):
 
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
-    train_corpus = _read(load_corpus, args.train)
-    dev_corpus = _read(load_corpus, args.dev)
+    train_corpus = load_corpus(args.train)
+    dev_corpus = load_corpus(args.dev)
     checkpoint = train(train_corpus, dev_corpus, config, history=_EpochLog())
     # The checkpoint is saved to a temporary file that replaces the target
     # only when it is complete, so a failing save leaves no output and no
@@ -234,9 +183,8 @@ def _parsed_char_trees(args):
 
     sentences = _read_sentences(args.input) if args.input else None
     # each block is decoded and dropped before the next one is read
-    with io.open(args.score_file, "r", encoding="utf-8") as f:
-        blocks = _named_errors(args.score_file, read_score_file(f))
-        yield from map(run_block, _paired(blocks, sentences))
+    with io.open(args.score_file, "rb") as f:
+        yield from map(run_block, _paired(read_score_file(f), sentences))
 
 
 def _staged(target: str) -> str:
@@ -331,8 +279,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    gold = _read(load_corpus, args.gold)
-    pred = _read(load_corpus, args.pred)
+    gold = load_corpus(args.gold)
+    pred = load_corpus(args.pred)
+    if len(pred) != len(gold):
+        raise DataError(f"{len(pred)} trees, but {args.gold} has {len(gold)}", args.pred)
+    for k, (g, p) in enumerate(zip(gold, pred), start=1):
+        if "".join(g.leaves()) != "".join(p.leaves()):
+            raise DataError(f"tree {k}: its characters differ from tree {k} of "
+                            f"{args.gold}", args.pred)
     report = joint_report(list(gold), list(pred))
     print(report)
     if args.report_file:
@@ -342,9 +296,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    trees = list(_read(load_corpus, args.corpus))
+    trees = list(load_corpus(args.corpus))
     if not trees:
-        raise ValueError("bench corpus is empty")
+        raise DataError("no trees to bench", args.corpus)
     sentences = ["".join(t.leaves()) for t in trees]
     decode_cfg = _decode_flags(args)
 
@@ -476,9 +430,6 @@ def main(argv=None) -> int:
             parser.error("--seed must be non-negative")
     try:
         return args.func(args)
-    except TreeFormatError as e:
-        print(f"charspan: error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError) as e:  # DataError is a ValueError
         print(f"charspan: error: {e}", file=sys.stderr)
         return 2

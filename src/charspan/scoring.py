@@ -32,13 +32,14 @@ from __future__ import annotations
 from _blake2 import blake2b
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .chartree import GoldSpanMap
 from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
                      is_char_label)
+from .treebank import DataError, decode_text
 
 # Private-use code points so sentinels can never collide with real text.
 LEFT_SENTINEL = ""
@@ -342,26 +343,26 @@ def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
     sink.write("\n")
 
 
-def _parse_row(row: np.ndarray, lineno: int, text: str, i: int, j: int) -> None:
+def _parse_row(row: np.ndarray, lineno: int, text: str, i: int, j: int, path) -> None:
     """Parse span line ``text``, which must hold span (i, j), into ``row``:
     the reference for ``_parse_rows`` and the source of its error messages."""
     parts = text.split()
     if len(parts) != 2 + len(row):
-        raise ValueError(f"line {lineno}: expected 2 offsets and {len(row)} "
-                         f"values, found {len(parts)} fields")
+        raise DataError(f"expected 2 offsets and {len(row)} values, found "
+                        f"{len(parts)} fields", path, lineno)
     if parts[0] != str(i) or parts[1] != str(j):
-        raise ValueError(f"line {lineno}: expected span ({i}, {j}), "
-                         f"found ({parts[0]}, {parts[1]})")
+        raise DataError(f"expected span ({i}, {j}), found ({parts[0]}, {parts[1]})",
+                        path, lineno)
     try:
         row[:] = list(map(float, parts[2:]))
     except ValueError:
-        raise ValueError(f"line {lineno}: non-numeric score value") from None
+        raise DataError("non-numeric score value", path, lineno) from None
     if not np.isfinite(row).all():
-        raise ValueError(f"line {lineno}: non-finite score value")
+        raise DataError("non-finite score value", path, lineno)
 
 
 def _parse_rows(rows: np.ndarray, chunk: list[tuple[int, str]],
-                offsets: list[tuple[int, int]]) -> None:
+                offsets: list[tuple[int, int]], path) -> None:
     """Parse the span lines ``chunk``, which must hold the spans ``offsets``,
     into ``rows``, with the values and errors of ``_parse_row`` on each line.
 
@@ -388,10 +389,11 @@ def _parse_rows(rows: np.ndarray, chunk: list[tuple[int, str]],
             rows[:] = values
             return
     for row, (lineno, text), (i, j) in zip(rows, chunk, offsets):
-        _parse_row(row, lineno, text, i, j)
+        _parse_row(row, lineno, text, i, j, path)
 
 
-def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, LabelVocab] | None:
+def _read_block(lines: Iterator[tuple[int, str]], path, vocab: LabelVocab | None
+                ) -> tuple[str, SpanScores, LabelVocab] | None:
     header = None
     for lineno, line in lines:
         if line.strip():
@@ -402,39 +404,43 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
     header_line, text = header
     parts = text.split()
     if parts[0] != "#scores" or len(parts) != 4:
-        raise ValueError(f"line {header_line}: missing or malformed '#scores' header")
+        raise DataError("missing or malformed '#scores' header", path, header_line)
     sentence_id = parts[1]
     try:
         n, num_labels = int(parts[2]), int(parts[3])
     except ValueError:
-        raise ValueError(f"line {header_line}: non-integer n or L in header") from None
+        raise DataError("non-integer n or L in header", path, header_line) from None
     if n < 1 or num_labels < 1:
-        raise ValueError(f"line {header_line}: n and L must be positive")
+        raise DataError("n and L must be positive", path, header_line)
     try:
         lineno, text = next(lines)
     except StopIteration:
-        raise ValueError(f"line {header_line}: missing '#labels' line") from None
+        raise DataError("missing '#labels' line", path, header_line) from None
     parts = text.split()
     if not parts or parts[0] != "#labels":
-        raise ValueError(f"line {lineno}: expected '#labels' line")
+        raise DataError("expected '#labels' line", path, lineno)
     labels = [NULL_LABEL if lab == NULL_TOKEN else lab for lab in parts[1:]]
     if len(labels) != num_labels:
-        raise ValueError(f"line {lineno}: header declares {num_labels} labels, "
-                         f"found {len(labels)}")
+        raise DataError(f"header declares {num_labels} labels, found {len(labels)}",
+                        path, lineno)
     if labels[0] != NULL_LABEL:
-        raise ValueError(f"line {lineno}: the first label must be {NULL_TOKEN}, "
-                         f"found {parts[1]!r}")
-    try:
-        vocab = LabelVocab(labels)
-    except ValueError as e:  # a label given twice
-        raise ValueError(f"line {lineno}: {e}") from None
+        raise DataError(f"the first label must be {NULL_TOKEN}, found {parts[1]!r}",
+                        path, lineno)
+    if vocab is None:
+        try:
+            vocab = LabelVocab(labels)
+        except ValueError as e:  # a label given twice
+            raise DataError(str(e), path, lineno) from None
+    elif labels != vocab.labels:
+        raise DataError(f"sentence {sentence_id}: label set differs from the "
+                        f"first block", path, lineno)
     num_spans = n * (n + 1) // 2
     try:
         # one allocation, which the span lines are parsed straight into
         scores = SpanScores(n, num_labels)
     except (MemoryError, ValueError):  # numpy: "array is too big" past the address space
-        raise ValueError(f"line {header_line}: header claims {num_spans} spans of "
-                         f"{num_labels} scores, too many to allocate") from None
+        raise DataError(f"header claims {num_spans} spans of {num_labels} scores, "
+                        f"too many to allocate", path, header_line) from None
     spans = iter_spans(n)
     per_chunk = max(1, _CHUNK_VALUES // num_labels)
     for start in range(0, num_spans, per_chunk):
@@ -443,33 +449,30 @@ def _read_block(lines: Iterator[tuple[int, str]]) -> tuple[str, SpanScores, Labe
         if len(chunk) < len(rows):
             # the file ends inside this chunk: a bad line before that comes first
             for row, (lineno, text), (i, j) in zip(rows, chunk, spans):
-                _parse_row(row, lineno, text, i, j)
-            raise ValueError(f"line {header_line}: expected {num_spans} span lines, "
-                             f"found {start + len(chunk)}")
-        _parse_rows(rows, chunk, list(islice(spans, len(chunk))))
+                _parse_row(row, lineno, text, i, j, path)
+            raise DataError(f"expected {num_spans} span lines, found "
+                            f"{start + len(chunk)}", path, header_line)
+        _parse_rows(rows, chunk, list(islice(spans, len(chunk))), path)
     return sentence_id, scores, vocab
 
 
-def read_score_file(source: TextIO) -> Iterator[tuple[str, SpanScores, LabelVocab]]:
-    """Yield ``(sentence_id, scores, vocab)`` for each block of a score file,
-    reading a block only when the caller asks for it.
+def read_score_file(source: BinaryIO) -> Iterator[tuple[str, SpanScores, LabelVocab]]:
+    """Yield ``(sentence_id, scores, vocab)`` for each block of the binary
+    file ``source``, reading a block only when the caller asks for it.
 
     Every block must have the first block's label set; all blocks yield
-    the first block's vocabulary.  A malformed block raises ``ValueError``
-    with its line number when it is reached, after the blocks before it
-    were yielded; an empty file raises once it is exhausted.
+    the first block's vocabulary.  A line that is not UTF-8 or a malformed
+    block raises DataError naming ``source.name`` (when the file has one)
+    and the line when it is reached, after the blocks before it were
+    yielded; an empty file raises once it is exhausted.
     """
-    lines = enumerate(source, start=1)
+    path = getattr(source, "name", None)
+    lines = ((lineno, decode_text(raw, path, lineno))
+             for lineno, raw in enumerate(source, start=1))
     vocab: LabelVocab | None = None
-    while (block := _read_block(lines)) is not None:
-        sentence_id, scores, block_vocab = block
-        del block
-        if vocab is None:
-            vocab = block_vocab
-        elif block_vocab.labels != vocab.labels:
-            raise ValueError(f"sentence {sentence_id}: label set differs from "
-                             f"the first block")
-        yield sentence_id, scores, vocab
-        del scores  # not held while the next block is read
+    while (block := _read_block(lines, path, vocab)) is not None:
+        vocab = block[2]
+        yield block
+        del block  # not held while the next block is read
     if vocab is None:
-        raise ValueError("missing header: empty score file")
+        raise DataError("missing header: empty score file", path)

@@ -31,7 +31,6 @@ the temporary directory on disk; on a tmpfs the file is memory too.
 
 from __future__ import annotations
 
-import io
 import tempfile
 from dataclasses import dataclass, replace
 from typing import Sequence, get_args, get_type_hints
@@ -48,6 +47,7 @@ from .metrics import PRF, parse_f1, seg_f1
 from . import scoring
 from .scorers import LinearScorer, MLPHead, check_keys
 from .scoring import LabelVocab, SpanScores, build_vocab, span_representation
+from .treebank import DataError, decode_text
 
 SCORERS = ("linear", "mlp")
 
@@ -116,31 +116,36 @@ def _settings() -> dict[str, tuple[type, tuple | None]]:
 SETTINGS = _settings()
 
 
-def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """key = value lines, '#' comments; unknown keys rejected."""
-    updates = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def parse_train_config(text: str, base: TrainConfig | None = None,
+                       path=None) -> TrainConfig:
+    """key = value lines, '#' comments; unknown keys rejected.  A bad line
+    raises DataError naming ``path`` and the line."""
+    config = base or TrainConfig()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
+            raise DataError("expected key = value", path, lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in SETTINGS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise DataError(f"unknown key {key!r}", path, lineno)
         try:
-            updates[key] = SETTINGS[key][0](value)
+            value = SETTINGS[key][0](value)
         except ValueError:
-            raise ValueError(f"config line {lineno}: bad value {value!r} "
-                             f"for {key!r}") from None
-    return replace(base or TrainConfig(), **updates)
+            raise DataError(f"bad value {value!r} for {key!r}", path, lineno) from None
+        try:  # each value is checked on its line
+            config = replace(config, **{key: value})
+        except ValueError as e:
+            raise DataError(str(e), path, lineno) from None
+    return config
 
 
 def load_train_config(path) -> TrainConfig:
-    with io.open(path, "r", encoding="utf-8") as f:
-        return parse_train_config(f.read())
+    with open(path, "rb") as f:
+        return parse_train_config(decode_text(f.read(), path), path=path)
 
 
 class Checkpoint:
@@ -218,69 +223,76 @@ class Checkpoint:
         ``labels`` that repeat a label or do not start with the null label,
         linear ``W_ids`` that are not strictly increasing integer ids below
         ``feature_dim``, weights (``W_rows``, ``p_*``) that are not floats or
-        not all finite, or an unknown scorer kind raises ValueError naming
+        not all finite, or an unknown scorer kind raises DataError naming
         ``path``, and so does a file that cannot be read as an ``.npz``
         archive (cut short, damaged, empty, or not an archive at all)."""
+        import tokenize
         import zipfile  # as in np.load: importing the trainer needs none
         import zlib
 
-        # what zipfile, zlib and numpy's format reader raise on damaged
-        # bytes; a file that cannot be opened raises OSError, with its name
-        damaged = (zipfile.BadZipFile, zlib.error, ValueError, EOFError,
-                   NotImplementedError, RuntimeError)
+        # a file that cannot be opened raises OSError, with its name; np.load
+        # would read one that is not a zip archive as an array or a pickle
+        with open(path, "rb") as f:
+            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise DataError("cannot read the checkpoint: not an .npz archive", path)
+        # what zipfile, zlib and numpy's format reader raise on damaged bytes,
+        # such as OSError (a bad seek) or TokenError and SyntaxError (a header)
+        damaged = (zipfile.BadZipFile, zlib.error, ValueError, EOFError, NotImplementedError,
+                   RuntimeError, OSError, SyntaxError, tokenize.TokenError)
         try:
             data = np.load(path, allow_pickle=False)
         except damaged as e:
-            raise ValueError(f"{path}: cannot read the checkpoint: {e}") from None
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError(f"{path}: cannot read the checkpoint: not an .npz archive")
+            raise DataError(f"cannot read the checkpoint: {e}", path) from None
         with data:
-            def array(name: str, shape: tuple) -> np.ndarray:
-                # None in ``shape`` matches any length
+            def array(name: str, shape: tuple, cast=np.asarray):
+                # None in ``shape`` matches any length; ``cast`` makes the value
                 if name not in data.files:
-                    raise ValueError(f"{path}: checkpoint has no {name!r} array")
+                    raise DataError(f"checkpoint has no {name!r} array", path)
                 try:
                     value = data[name]
                 except damaged as e:
-                    raise ValueError(f"{path}: cannot read checkpoint array "
-                                     f"{name!r}: {e}") from None
+                    raise DataError(f"cannot read checkpoint array {name!r}: {e}",
+                                    path) from None
                 if value.ndim != len(shape) or any(
                         want not in (None, got) for want, got in zip(shape, value.shape)):
-                    raise ValueError(f"{path}: checkpoint array {name!r} has shape "
-                                     f"{value.shape}, expected {shape}")
-                return value
+                    raise DataError(f"checkpoint array {name!r} has shape "
+                                    f"{value.shape}, expected {shape}", path)
+                try:
+                    return cast(value)
+                except (TypeError, ValueError, OverflowError) as e:  # int('x'), int(nan)
+                    raise DataError(f"checkpoint array {name!r}: {e}", path) from None
 
             def weights(name: str, shape: tuple) -> np.ndarray:
                 value = array(name, shape)
                 if not np.issubdtype(value.dtype, np.floating):
-                    raise ValueError(f"{path}: checkpoint array {name!r} has dtype "
-                                     f"{value.dtype}, expected floats")
+                    raise DataError(f"checkpoint array {name!r} has dtype "
+                                    f"{value.dtype}, expected floats", path)
                 # a NaN or an infinity shows in the minimum or the maximum,
                 # and neither makes a temporary array
                 if value.size and not (np.isfinite(value.min()) and np.isfinite(value.max())):
                     at = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
-                    raise ValueError(f"{path}: checkpoint array {name!r} has the "
-                                     f"non-finite value {value[at]} at {at}")
+                    raise DataError(f"checkpoint array {name!r} has the non-finite "
+                                    f"value {value[at]} at {at}", path)
                 return value
 
-            kind = str(array("scorer_kind", ()))
+            kind = array("scorer_kind", (), str)
             labels = [str(x) for x in array("labels", (None,))]
             try:
                 LabelVocab(labels)
             except ValueError as e:
-                raise ValueError(f"{path}: checkpoint array 'labels': {e}") from None
-            dim = int(array("feature_dim", ()))
-            hidden = int(array("mlp_hidden", ()))
+                raise DataError(f"checkpoint array 'labels': {e}", path) from None
+            dim = array("feature_dim", (), int)
+            hidden = array("mlp_hidden", (), int)
             if kind == "linear":
                 keys = array("W_ids", (None,))
                 if not np.issubdtype(keys.dtype, np.integer):
-                    raise ValueError(f"{path}: checkpoint array 'W_ids' has dtype "
-                                     f"{keys.dtype}, expected integers")
+                    raise DataError(f"checkpoint array 'W_ids' has dtype "
+                                    f"{keys.dtype}, expected integers", path)
                 keys = keys.astype(np.int64, copy=False)
                 try:
                     check_keys(keys, dim)
                 except ValueError as e:
-                    raise ValueError(f"{path}: checkpoint array 'W_ids': {e}") from None
+                    raise DataError(f"checkpoint array 'W_ids': {e}", path) from None
                 params = {"keys": keys,
                           "rows": weights("W_rows", (len(keys), len(labels)))}
             elif kind == "mlp":
@@ -288,10 +300,10 @@ class Checkpoint:
                 params = {name: weights("p_" + name, shape)
                           for name, shape in shapes.items()}
             else:
-                raise ValueError(f"{path}: unknown scorer kind {kind!r}")
+                raise DataError(f"unknown scorer kind {kind!r}", path)
             return cls(kind, params, labels, dim, hidden,
-                       float(array("dropout", ())), int(array("epoch", ())),
-                       float(array("best_dev_f1", ())), int(array("decays", ())))
+                       array("dropout", (), float), array("epoch", (), int),
+                       array("best_dev_f1", (), float), array("decays", (), int))
 
 
 def _write_npy(zf, name: str, array: np.ndarray, shape: tuple | None = None,

@@ -22,15 +22,37 @@ _WS = " \t\r\n"
 _DELIM = "()"
 
 
-class TreeFormatError(ValueError):
+class DataError(ValueError):
+    """Input that cannot be read as its kind, in the file ``path`` and at the
+    1-based ``line`` (either None if unknown): prints as ``PATH: line K: message``."""
+
+    def __init__(self, message: str, path=None, line: int | None = None):
+        self.message, self.path, self.line = message, path, line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
+
+
+class TreeFormatError(DataError):
     """Malformed bracketed-tree text.  ``pos`` is a 0-based character offset
     into the parsed string when the error is tied to a location."""
 
-    def __init__(self, message: str, pos: int | None = None):
+    def __init__(self, message: str, pos: int | None = None, path=None, line=None):
         if pos is not None:
             message = f"{message} (at offset {pos})"
-        super().__init__(message)
+        super().__init__(message, path, line)
         self.pos = pos
+
+
+def decode_text(data: bytes, path, line: int = 1) -> str:
+    """``data``, read from ``path``, as UTF-8 text.  A byte that is not UTF-8
+    raises DataError naming its line, counted on from ``line``, and its place."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = data.rfind(b"\n", 0, e.start) + 1  # the bad line's first byte
+        e.object, e.start, e.end = data[start:e.end], e.start - start, e.end - start
+        raise DataError(str(e), path, line + data.count(b"\n", 0, start)) from None
 
 
 class SyntaxTree:
@@ -141,12 +163,13 @@ class Corpus:
         return f"Corpus({len(self.trees)} trees from {self.source_name})"
 
 
-def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
-    """Parse zero or more bracketed trees from ``text``.
+def parse_bracketed(text: str, source_name: str = "<string>", build=None) -> Corpus:
+    """Parse zero or more bracketed trees from ``text``, each passed through
+    ``build`` when it is given.
 
     Raises TreeFormatError for unbalanced brackets, empty labels on nested
-    nodes, empty nodes, and nodes mixing tokens with subtrees; the reported
-    offset points into ``text``.
+    nodes, empty nodes, and nodes mixing tokens with subtrees, and with the
+    offset of its tree for one from ``build``; the offset points into ``text``.
     """
     n = len(text)
 
@@ -228,8 +251,12 @@ def parse_bracketed(text: str, source_name: str = "<string>") -> Corpus:
             break
         if text[i] != "(":
             raise TreeFormatError(f"expected '(', found {text[i]!r}", i)
+        start = i
         tree, i = parse_tree(i)
-        trees.append(tree)
+        try:
+            trees.append(build(tree) if build else tree)
+        except TreeFormatError as e:  # the tree parses but is not of its kind
+            raise TreeFormatError(e.message, start) from None
     return Corpus(trees, source_name)
 
 
@@ -290,39 +317,45 @@ def strip_function_tags(tree: SyntaxTree) -> SyntaxTree:
             stack[-1][2].append(node)
 
 
-def _reject_reserved(tree: SyntaxTree, idx: int) -> None:
+def _reject_reserved(tree: SyntaxTree) -> SyntaxTree:
     stack = [tree]  # pre-order, leftmost child first
     while stack:
         node = stack.pop()
         if node.token is not None:
             continue
         if node.label in RESERVED_LABELS:
-            raise TreeFormatError(
-                f"tree {idx}: label {node.label!r} is reserved by the "
-                f"character-level encoding")
+            raise TreeFormatError(f"label {node.label!r} is reserved by the "
+                                  f"character-level encoding")
         if UNARY_JOIN in node.label:
-            raise TreeFormatError(
-                f"tree {idx}: label {node.label!r} contains {UNARY_JOIN!r}, "
-                f"which is reserved for merged unary chains")
+            raise TreeFormatError(f"label {node.label!r} contains {UNARY_JOIN!r}, "
+                                  f"which is reserved for merged unary chains")
         stack += reversed(node.children)
+    return tree
+
+
+def read_trees(path: str | os.PathLike, build) -> Corpus:
+    """The trees of the UTF-8 file ``path``, each passed through ``build``.
+    Bytes that are not UTF-8 raise DataError, and text that is not such
+    trees TreeFormatError, both naming the file and the line."""
+    with io.open(path, "rb") as f:
+        text = decode_text(f.read(), path)
+    try:
+        return parse_bracketed(text, str(path), build)
+    except TreeFormatError as e:
+        raise TreeFormatError(e.message, path=path,
+                              line=text.count("\n", 0, e.pos) + 1) from None
 
 
 def load_corpus(path: str | os.PathLike, strip_tags: bool = True) -> Corpus:
-    """Read a UTF-8 treebank file.
+    """Read a UTF-8 treebank file, as ``read_trees`` does.
 
     With ``strip_tags`` (the default) function suffixes are removed at load.
     Trees using labels reserved by the character-level encoding ("@1", "@2",
     "NULL", the null label) or containing '+' are rejected.
     """
-    with io.open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    corpus = parse_bracketed(text, source_name=str(path))
     if strip_tags:
-        corpus = Corpus([strip_function_tags(t) for t in corpus.trees],
-                        corpus.source_name)
-    for idx, tree in enumerate(corpus.trees):
-        _reject_reserved(tree, idx)
-    return corpus
+        return read_trees(path, lambda tree: _reject_reserved(strip_function_tags(tree)))
+    return read_trees(path, _reject_reserved)
 
 
 def save_corpus(corpus: Corpus | Iterable[SyntaxTree], path: str | os.PathLike) -> None:

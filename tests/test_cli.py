@@ -133,19 +133,20 @@ def test_transform_reports_line_number(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    "parse-input", "eval-gold", "eval-pred", "train-corpus", "train-config",
-    "transform", "detransform", "bench"])
+    "parse-input", "parse-scores", "eval-gold", "eval-pred", "train-corpus",
+    "train-config", "transform", "detransform", "bench"])
 def test_input_that_is_not_utf8_names_file_and_line(workdir, checkpoint, tmp_path,
                                                     capsys, command):
     # a good first line, then a 0xff byte, which no UTF-8 text holds
-    text = {"parse-input": "好\n", "train-config": "seed = 1\n# "}.get(command,
-                                                                    "(IP (NN 好))\n(IP (NN ")
+    text = {"parse-input": "好\n", "parse-scores": "#scores 0 1 2\n#labels NULL ",
+            "train-config": "seed = 1\n# "}.get(command, "(IP (NN 好))\n(IP (NN ")
     bad = tmp_path / "bad.txt"
     bad.write_bytes(text.encode("utf-8") + b"\xff\n")
     where = len(text.encode("utf-8").split(b"\n")[1])  # the byte's place in its line
     gold, out = str(workdir / "gold.txt"), str(tmp_path / "out")
     args = {"parse-input": ["parse", "--checkpoint", str(checkpoint), "--input", str(bad),
                             "--output", out],
+            "parse-scores": ["parse", "--score-file", str(bad), "--output", out],
             "eval-gold": ["eval", str(bad), gold],
             "eval-pred": ["eval", gold, str(bad)],
             "train-corpus": ["train", gold, str(bad), out],
@@ -516,11 +517,9 @@ def test_train_setting_as_flag_and_config_key(workdir, tmp_path, capsys, key, ca
         cli.main([*train, flag, bad])
     assert exit_info.value.code == 1
     assert f"charspan train: error: argument {flag}: invalid " in capsys.readouterr().err
-    cfg.write_text(f"{key} = {bad}\n", encoding="utf-8")
+    cfg.write_text(f"seed = 1\n{key} = {bad}\n", encoding="utf-8")
     assert cli.main([*train, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("charspan: error: ") and err.endswith(f"{message}\n")
-    assert "epoch=" not in err
+    assert capsys.readouterr().err == f"charspan: error: {cfg}: line 2: {message}\n"
     assert not (tmp_path / "m.npz").exists()
 
 
@@ -676,6 +675,14 @@ def _flip_in(member: str):
     return damage
 
 
+def _in_w_rows_header(old: bytes, new: bytes):
+    """Damage: the first ``old`` in W_rows.npy's header replaced by ``new``."""
+    def damage(data: bytes) -> bytes:
+        at = data.index(old, data.index(b"\x93NUMPY", data.index(b"W_rows.npy")))
+        return data[:at] + new + data[at + len(old):]
+    return damage
+
+
 def _npy_bytes(data: bytes) -> bytes:
     out = io.BytesIO()
     np.save(out, np.zeros(3))
@@ -695,21 +702,36 @@ def _npy_bytes(data: bytes) -> bytes:
      "'labels': duplicate labels in vocabulary"),
     ("mlp", None, {"labels": lambda labels: np.roll(labels, 1)}, None,
      "'labels': label id 0 must be the null label"),
+    ("linear", None, {"feature_dim": np.array("x")}, None,
+     "'feature_dim': invalid literal for int"),
     # a damaged file: the checkpoint's bytes changed, or other bytes
     ("linear", None, {}, lambda data: data[:4000],
      "cannot read the checkpoint: File is not a zip file"),
     ("linear", None, {}, _flip_in("W_rows.npy"),
      "cannot read checkpoint array 'W_rows': Bad CRC-32 for file 'W_rows.npy'"),
+    # bytes cut from the middle: zipfile seeks to a negative offset
+    ("linear", None, {}, lambda data: data[:193] + data[244:],
+     r"cannot read checkpoint array 'scorer_kind': \[Errno 22\] Invalid argument"),
+    ("mlp", None, {}, lambda data: data[:193] + data[244:],
+     r"cannot read checkpoint array 'scorer_kind': \[Errno 22\] Invalid argument"),
+    ("linear", None, {}, _in_w_rows_header(b"),", b" ,"),  # the shape left open
+     "cannot read checkpoint array 'W_rows': .*EOF in multi-line statement"),
+    ("linear", None, {}, _in_w_rows_header(b"'<f8'", b"',f8'"),
+     "cannot read checkpoint array 'W_rows': invalid syntax"),
     ("linear", None, {}, lambda data: b"PK\x03\x04garbage",
      "cannot read the checkpoint: File is not a zip file"),
     ("linear", None, {}, lambda data: "我们今天去公园\n".encode("utf-8"),
-     "cannot read the checkpoint: "),
-    ("linear", None, {}, lambda data: b"", "cannot read the checkpoint: "),
+     "cannot read the checkpoint: not an .npz archive$"),
+    ("linear", None, {}, lambda data: b"", "cannot read the checkpoint: not an .npz archive$"),
     ("linear", None, {}, _npy_bytes, "cannot read the checkpoint: not an .npz archive"),
 ], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids",
         "linear-float-W_ids", "linear-reversed-W_ids", "linear-repeated-label",
-        "mlp-labels-not-led-by-null", "cut-at-4000-bytes", "flipped-byte-in-W_rows",
-        "zip-magic-then-garbage", "plain-text", "empty", "npy-array"])
+        "mlp-labels-not-led-by-null", "linear-feature_dim-not-a-number",
+        "cut-at-4000-bytes", "flipped-byte-in-W_rows",
+        "linear-bytes-cut-from-the-middle", "mlp-bytes-cut-from-the-middle",
+        "unclosed-npy-header", "npy-header-with-a-dtype-that-does-not-parse",
+        "zip-magic-then-garbage", "plain-text", "empty",
+        "npy-array"])
 def test_parse_rejects_malformed_checkpoint(workdir, checkpoint, mlp_checkpoint,
                                             tmp_path, capsys, kind, drop, replace,
                                             damage, message):
@@ -807,13 +829,19 @@ def test_eval_report_file(workdir, tmp_path):
     assert line.startswith("seg_f1=1.0 par_f1=1.0")
 
 
-def test_eval_yield_mismatch_is_data_error(workdir, tmp_path):
+def test_eval_yield_mismatch_is_data_error(workdir, tmp_path, capsys):
+    # the error names PRED, GOLD and the 1-based tree of PRED
+    gold = workdir / "gold.txt"
+    trees = list(load_corpus(gold))
     other = tmp_path / "other.txt"
-    save_corpus(synthesize_corpus(8, seed=77, median_chars=7.0, max_chars=16),
-                other)
-    r = run_cli("eval", str(workdir / "gold.txt"), str(other))
-    assert r.returncode == 2
-    assert "charspan: error:" in r.stderr
+    save_corpus(trees[:2] + list(synthesize_corpus(1, seed=77)) + trees[3:], other)
+    assert cli.main(["eval", str(gold), str(other)]) == 2
+    assert capsys.readouterr().err == (f"charspan: error: {other}: tree 3: its "
+                                       f"characters differ from tree 3 of {gold}\n")
+    save_corpus(trees[:5], other)
+    assert cli.main(["eval", str(gold), str(other)]) == 2
+    assert capsys.readouterr().err == (f"charspan: error: {other}: 5 trees, but "
+                                       f"{gold} has 8\n")
 
 
 def test_bench_random_scores(workdir):

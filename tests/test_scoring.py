@@ -329,6 +329,11 @@ def test_oracle_scores_rejects_unknown_label():
         oracle_scores(gold, vocab)
 
 
+def _binary(text):
+    """``text`` as the binary file that read_score_file reads."""
+    return io.BytesIO(text.encode("utf-8"))
+
+
 def _round_trip(scores, vocab, sentence_id="0"):
     buf = io.StringIO()
     write_scores(scores, vocab, buf, sentence_id=sentence_id)
@@ -345,7 +350,7 @@ def test_score_file_round_trip_exact():
     text = buf.getvalue()
     assert text.startswith("#scores s7 3 4\n#labels NULL @1 NN IP\n")
     assert text.endswith("\n\n")
-    [(_, loaded, loaded_vocab)] = list(read_score_file(io.StringIO(text)))
+    [(_, loaded, loaded_vocab)] = list(read_score_file(_binary(text)))
     assert loaded_vocab.labels == vocab.labels
     # %.17g is lossless for doubles
     for i, j in iter_spans(3):
@@ -359,7 +364,7 @@ def test_score_file_multiple_sentences():
     write_scores(SpanScores(2, 3), vocab, buf, sentence_id="a")
     write_scores(SpanScores(4, 3), vocab, buf, sentence_id="b")
     buf.seek(0)
-    blocks = list(read_score_file(buf))
+    blocks = list(read_score_file(_binary(buf.getvalue())))
     assert [sid for sid, _, _ in blocks] == ["a", "b"]
     assert blocks[1][1].n == 4
     assert blocks[0][2].labels == vocab.labels
@@ -376,7 +381,7 @@ def test_write_scores_bytes_match_format_17g():
     expected = "".join(f"{i} {j} " + " ".join(format(v, ".17g") for v in row) + "\n"
                        for (i, j), row in zip(iter_spans(2), values))
     assert text.split("\n", 2)[2] == expected + "\n"
-    [(_, loaded, _)] = list(read_score_file(io.StringIO(text)))
+    [(_, loaded, _)] = list(read_score_file(_binary(text)))
     # bitwise, so the sign of zero counts
     assert loaded.values.tobytes() == values.tobytes()
 
@@ -384,7 +389,7 @@ def test_write_scores_bytes_match_format_17g():
 def test_score_file_blocks_are_read_one_at_a_time():
     vocab = LabelVocab([NULL_LABEL, "@1"])
     good = _round_trip(SpanScores(1, 2), vocab, "a").getvalue()
-    blocks = read_score_file(io.StringIO(good + good.replace("0 1 0 0", "0 1 0 x")))
+    blocks = read_score_file(_binary(good + good.replace("0 1 0 0", "0 1 0 x")))
     sentence_id, scores, block_vocab = next(blocks)
     assert (sentence_id, scores.n, block_vocab.labels) == ("a", 1, vocab.labels)
     with pytest.raises(ValueError, match="^line 7: non-numeric score value$"):
@@ -417,7 +422,7 @@ def test_score_file_errors(mangle, message):
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
     text = _round_trip(SpanScores(2, 3), vocab).getvalue()
     with pytest.raises(ValueError, match=message):
-        list(read_score_file(io.StringIO(mangle(text))))
+        list(read_score_file(_binary(mangle(text))))
 
 
 def test_score_file_rejects_nonnumeric_value():
@@ -426,7 +431,7 @@ def test_score_file_rejects_nonnumeric_value():
             "#labels NULL @1\n"
             "0 1 0.5 oops\n\n")
     with pytest.raises(ValueError, match="non-numeric"):
-        list(read_score_file(io.StringIO(text)))
+        list(read_score_file(_binary(text)))
 
 
 def test_score_file_rejects_nonfinite_value():
@@ -435,7 +440,7 @@ def test_score_file_rejects_nonfinite_value():
             "#labels NULL @1\n"
             "0 1 0.5 inf\n\n")
     with pytest.raises(ValueError, match="non-finite"):
-        list(read_score_file(io.StringIO(text)))
+        list(read_score_file(_binary(text)))
 
 
 def test_score_file_rejects_inconsistent_label_sets():
@@ -444,7 +449,7 @@ def test_score_file_rejects_inconsistent_label_sets():
     write_scores(SpanScores(1, 2), LabelVocab([NULL_LABEL, "NN+@1"]), buf, "b")
     buf.seek(0)
     with pytest.raises(ValueError, match="label set differs"):
-        list(read_score_file(buf))
+        list(read_score_file(_binary(buf.getvalue())))
 
 
 def test_write_scores_refuses_nonfinite():
@@ -487,7 +492,7 @@ def _read_one_block(text, chunk_values):
     ValueError the reader raises, read in chunks of ``chunk_values``."""
     with mock.patch.object(scoring, "_CHUNK_VALUES", chunk_values):
         try:
-            [(_, scores, _)] = list(read_score_file(io.StringIO(text)))
+            [(_, scores, _)] = list(read_score_file(_binary(text)))
         except ValueError as e:
             return str(e)
     return scores.values
@@ -583,7 +588,7 @@ def test_fault_at_a_chunk_edge(lineno, line, message):
     lines = _chunked_block()
     with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            list(read_score_file(io.StringIO(_spoil(lines, {lineno: line}))))
+            list(read_score_file(_binary(_spoil(lines, {lineno: line}))))
 
 
 def test_earlier_of_two_faults_in_a_chunk_wins():
@@ -591,11 +596,11 @@ def test_earlier_of_two_faults_in_a_chunk_wins():
     text = _spoil(lines, {7: "1 2 12 nan", 8: "1 3 x -13"})
     with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
         with pytest.raises(ValueError, match="^line 7: non-finite score value$"):
-            list(read_score_file(io.StringIO(text)))
+            list(read_score_file(_binary(text)))
     text = _spoil(lines, {6: "0 4 4 x", 7: "1 9 12 -12"})
     with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
         with pytest.raises(ValueError, match="^line 6: non-numeric score value$"):
-            list(read_score_file(io.StringIO(text)))
+            list(read_score_file(_binary(text)))
 
 
 def test_truncated_chunk_reports_an_earlier_bad_line_first():
@@ -603,9 +608,9 @@ def test_truncated_chunk_reports_an_earlier_bad_line_first():
     cut = lines[:7]  # the header and spans up to (1, 2): chunk 2 has two lines
     with mock.patch.object(scoring, "_CHUNK_VALUES", 6):
         with pytest.raises(ValueError, match="^line 1: expected 10 span lines, found 5$"):
-            list(read_score_file(io.StringIO(_spoil(cut, {}))))
+            list(read_score_file(_binary(_spoil(cut, {}))))
         with pytest.raises(ValueError, match="^line 6: non-numeric score value$"):
-            list(read_score_file(io.StringIO(_spoil(cut, {6: "0 4 4 x"}))))
+            list(read_score_file(_binary(_spoil(cut, {6: "0 4 4 x"}))))
 
 
 def test_chunks_fill_the_rows_in_order():

@@ -77,11 +77,13 @@ def test_error_carries_offset():
 
 
 def test_reserved_labels_rejected_at_load(tmp_path):
+    # the error names the file and the line where the tree starts
     for text in ["(∅ (B x))", "(A (@1 x))", "(A (@2 x))", "(A (NULL x))",
                  "(A+B (C x))"]:
         path = tmp_path / "bad.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        with pytest.raises(TreeFormatError, match="reserved"):
+        path.write_text("(A (B x))\n" + text + "\n", encoding="utf-8")
+        with pytest.raises(TreeFormatError, match=f"^{re.escape(str(path))}: line 2: "
+                                                  f".*reserved"):
             load_corpus(path)
 
 
