@@ -23,7 +23,7 @@ from .scoring import (LabelVocab, SpanScores, build_vocab, oracle_scores,
                       span_representation, write_scores)
 from .synthesis import synthesize_bench_corpus, synthesize_corpus
 from .trainer import Checkpoint, TrainConfig, evaluate_dev, train
-from .treebank import (Corpus, DataError, SyntaxTree, TreeFormatError, load_corpus,
+from .treebank import (DataError, SyntaxTree, TreeFormatError, load_corpus,
                        parse_bracketed, save_corpus, serialize_bracketed,
                        strip_function_tags)
 
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHAR_LABEL", "NULL_LABEL", "SUBWORD_LABEL",
-    "SyntaxTree", "Corpus", "DataError", "TreeFormatError",
+    "SyntaxTree", "DataError", "TreeFormatError",
     "parse_bracketed", "serialize_bracketed", "load_corpus", "save_corpus",
     "strip_function_tags",
     "CharTree", "WordSegmentation", "GoldSpanMap",

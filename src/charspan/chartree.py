@@ -336,12 +336,12 @@ def _char_tree_of(tree: SyntaxTree) -> CharTree:
 
 
 def parse_char_trees(text: str) -> list[CharTree]:
-    return parse_bracketed(text, build=_char_tree_of).trees
+    return parse_bracketed(text, build=_char_tree_of)
 
 
 def load_char_trees(path: str | os.PathLike) -> list[CharTree]:
     """The char trees of a UTF-8 file; its errors are those of ``read_trees``."""
-    return read_trees(path, _char_tree_of).trees
+    return read_trees(path, _char_tree_of)
 
 
 def save_char_trees(trees: Iterable[CharTree], path: str | os.PathLike) -> None:

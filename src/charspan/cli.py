@@ -48,10 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_sentences(path: str):
-    """The non-blank lines of ``path``, stripped, read as they are asked
-    for.  A line that is not UTF-8 or that holds a character no leaf can
-    hold (a space, a tab or a parenthesis) raises DataError naming the file
-    and the line."""
+    """The non-blank lines of ``path``, stripped, each after its 1-based
+    line number, read as they are asked for.  A line that is not UTF-8 or
+    that holds a character no leaf can hold (a space, a tab or a
+    parenthesis) raises DataError naming the file and the line."""
     with io.open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             sentence = decode_text(raw, path, lineno).strip()
@@ -61,7 +61,7 @@ def _read_sentences(path: str):
                 bad = next(c for c in sentence if c in BAD_LEAF_CHARS)
                 raise DataError(f"{bad!r} cannot be a character of a sentence",
                                 path, lineno)
-            yield sentence
+            yield lineno, sentence
 
 
 def cmd_transform(args) -> int:
@@ -131,22 +131,24 @@ def _decode_flags(args) -> DecodeConfig:
                         require_nonnull_root=args.require_nonnull_root)
 
 
-def _paired(blocks, sentences):
-    """Each score block with its input sentence, or with None when there is
-    no input.  When the counts differ, the rest of the longer source is
-    read, so the error gives both full counts."""
+def _paired(blocks, sentences, args):
+    """Each score block with its input line's number and sentence, or with
+    (None, None) when there is no input.  When the counts differ, the rest
+    of the longer source is read, so the error, which names the score file,
+    gives both full counts."""
     k = 0
     for block in blocks:
-        chars = None
+        line = (None, None)
         if sentences is not None:
-            chars = next(sentences, None)
-            if chars is None:
+            line = next(sentences, None)
+            if line is None:
                 del block
                 total = k + 1
                 while next(blocks, None) is not None:
                     total += 1
-                raise ValueError(f"score file has {total} sentences, input has {k}")
-        yield block, chars
+                raise DataError(f"{total} sentences, but {args.input} has {k}",
+                                args.score_file)
+        yield block, line
         del block  # not held while the next block is read
         k += 1
     if sentences is not None:
@@ -154,7 +156,8 @@ def _paired(blocks, sentences):
         while next(sentences, None) is not None:
             total += 1
         if total != k:
-            raise ValueError(f"score file has {k} sentences, input has {total}")
+            raise DataError(f"{k} sentences, but {args.input} has {total}",
+                            args.score_file)
 
 
 def _parsed_char_trees(args):
@@ -166,25 +169,25 @@ def _parsed_char_trees(args):
         vocab = checkpoint.vocab
         scorer = checkpoint.build_scorer()
 
-        def run(sentence: str):
-            ct, _ = decode_sentence(scorer, sentence, vocab, decode_cfg)
+        def run(line: tuple[int, str]):
+            ct, _ = decode_sentence(scorer, line[1], vocab, decode_cfg)
             return ct
 
         yield from map(run, _read_sentences(args.input))
         return
 
     def run_block(item):
-        (sid, scores, vocab), chars = item
+        (sid, scores, vocab), (lineno, chars) = item
         if chars is not None and len(chars) != scores.n:
-            raise ValueError(f"sentence {sid}: score file says n={scores.n}, "
-                             f"input line has {len(chars)} characters")
+            raise DataError(f"{len(chars)} characters, but sentence {sid} of "
+                            f"{args.score_file} has n={scores.n}", args.input, lineno)
         ct, _ = cky_decode(scores, vocab, decode_cfg, chars=chars)
         return ct
 
     sentences = _read_sentences(args.input) if args.input else None
     # each block is decoded and dropped before the next one is read
     with io.open(args.score_file, "rb") as f:
-        yield from map(run_block, _paired(read_score_file(f), sentences))
+        yield from map(run_block, _paired(read_score_file(f), sentences, args))
 
 
 def _staged(target: str) -> str:

@@ -1,7 +1,7 @@
 """Trainable span scorers over hashed span features.
 
-Both scorers map a ``SpanRepresentation``, the position id tables of all
-spans of one sentence, to an (n(n+1)/2, L) score array in packed row
+Both scorers map a ``PositionIds``, the position id tables of all spans
+of one sentence, to an (n(n+1)/2, L) score array in packed row
 order.  ``LinearScorer`` is a hashed linear model whose weights live in a
 compact table keyed by hashed id; ``MLPHead`` is a two-layer perceptron
 with a rectifier and inverted dropout, so the inference path needs no
@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import scoring
-from .scoring import PositionIds, SpanRepresentation, span_row
+from .scoring import PositionIds, span_row
 
 
 def _rows_at(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -205,27 +205,27 @@ class LinearScorer:
         self.keys = np.insert(self.keys, at, new)
         self.rows = np.insert(self.rows, at, 0.0, axis=0)
 
-    def score(self, rep: SpanRepresentation) -> np.ndarray:
-        n = rep.positions.by_start.shape[1]
+    def score(self, rep: PositionIds) -> np.ndarray:
+        n = rep.by_start.shape[1]
         return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
 
-    def start_blocks(self, rep: SpanRepresentation):
+    def start_blocks(self, rep: PositionIds):
         """A function ``(p0, p1, out)`` that writes the scores of the spans
-        that start at p0, ..., p1 - 1 of the sentence ``rep`` holds with
-        its position tables, in packed row order, to the first rows of
+        that start at p0, ..., p1 - 1 of the sentence whose position
+        tables ``rep`` are, in packed row order, to the first rows of
         ``out`` and returns that view.  The rows it reads are gathered
         once, here."""
-        at = PositionIds(*map(self._positions, rep.positions))
+        at = PositionIds(*map(self._positions, rep))
         return partial(_sentence_sum, PositionRows.gather(self.rows, at))
 
-    def score_train(self, rep: SpanRepresentation, rng) -> tuple[np.ndarray, None]:
+    def score_train(self, rep: PositionIds, rng) -> tuple[np.ndarray, None]:
         # No dropout in the linear model; train scoring equals inference.
         return self.score(rep), None
 
-    def backward(self, rep: SpanRepresentation, rows: np.ndarray, grad: np.ndarray,
+    def backward(self, rep: PositionIds, rows: np.ndarray, grad: np.ndarray,
                  cache=None) -> SentenceGradient:
         """The weight gradient of score rows ``rows`` of the sentence whose
-        spans ``rep`` holds, given their gradient ``grad``."""
+        position tables ``rep`` are, given their gradient ``grad``."""
         _check_upstream(grad)
         return SentenceGradient(rep.ids_of(rows), grad)
 
@@ -305,9 +305,9 @@ class MLPHead:
     def num_labels(self) -> int:
         return self.W2.shape[1]
 
-    def _pre_hidden(self, rep: SpanRepresentation) -> np.ndarray:
-        n = rep.positions.by_start.shape[1]
-        rows = PositionRows.gather(self.W1, rep.positions)
+    def _pre_hidden(self, rep: PositionIds) -> np.ndarray:
+        n = rep.by_start.shape[1]
+        rows = PositionRows.gather(self.W1, rep)
         pre = _sentence_sum(rows, 0, n, np.empty((n * (n + 1) // 2, self.hidden)))
         pre += self.b1
         return pre
@@ -322,17 +322,17 @@ class MLPHead:
         out += self.b2
         return out
 
-    def score(self, rep: SpanRepresentation) -> np.ndarray:
-        n = rep.positions.by_start.shape[1]
+    def score(self, rep: PositionIds) -> np.ndarray:
+        n = rep.by_start.shape[1]
         return self.start_blocks(rep)(0, n, np.empty((n * (n + 1) // 2, self.num_labels)))
 
-    def start_blocks(self, rep: SpanRepresentation):
+    def start_blocks(self, rep: PositionIds):
         """A function ``(p0, p1, out)`` that writes the scores of the spans
-        that start at p0, ..., p1 - 1 of the sentence ``rep`` holds with
-        its position tables, in packed row order, to the first rows of
+        that start at p0, ..., p1 - 1 of the sentence whose position
+        tables ``rep`` are, in packed row order, to the first rows of
         ``out`` and returns that view.  The ``W1`` rows it reads are
         gathered once, here."""
-        rows = PositionRows.gather(self.W1, rep.positions)
+        rows = PositionRows.gather(self.W1, rep)
         n = len(rows.first)
 
         def scores(p0: int, p1: int, out: np.ndarray) -> np.ndarray:
@@ -345,7 +345,7 @@ class MLPHead:
 
         return scores
 
-    def score_train(self, rep: SpanRepresentation,
+    def score_train(self, rep: PositionIds,
                     rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         pre = self._pre_hidden(rep)
         h = np.maximum(pre, 0.0)
@@ -358,10 +358,10 @@ class MLPHead:
         cache = {"pre": pre, "keep": keep}
         return self._output(h), cache
 
-    def backward(self, rep: SpanRepresentation, rows: np.ndarray, grad: np.ndarray,
+    def backward(self, rep: PositionIds, rows: np.ndarray, grad: np.ndarray,
                  cache: dict | None = None) -> SentenceGradient:
-        """Gradients of score rows ``rows`` of the sentence whose spans
-        ``rep`` holds, given their gradient ``grad``.
+        """Gradients of score rows ``rows`` of the sentence whose position
+        tables ``rep`` are, given their gradient ``grad``.
 
         Without ``cache`` the forward pass is recomputed with dropout off;
         pass the cache from ``score_train`` to backpropagate through its mask.

@@ -45,8 +45,6 @@ from .treebank import DataError, decode_text
 LEFT_SENTINEL = ""
 RIGHT_SENTINEL = ""
 
-DEFAULT_DIM = 1 << 20
-
 _HASH_KEY = b"charspan.spanfeat.v1"
 
 _LENGTH_BUCKETS = ((1, "1"), (2, "2"), (3, "3"), (4, "4"), (8, "5-8"))
@@ -180,28 +178,19 @@ class PositionIds(NamedTuple):
     by_short: np.ndarray  # (4, n)
     by_width: np.ndarray  # (n + 1,)
 
-
-class SpanRepresentation(NamedTuple):
-    """The hashed features of all spans of one sentence, as the sentence's
-    ``positions`` tables; every id is < ``dim``."""
-
-    positions: PositionIds
-    dim: int
-
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
         """The (len(rows), 8) id matrix of the spans at packed ``rows``, in
         feature order L, B, E, R, LB, ER, S, W, with -1 in the S column of
         spans wider than 4 characters; nothing keeps it."""
-        at = self.positions
-        starts, ends = span_bounds(at.by_start.shape[1])
+        starts, ends = span_bounds(self.by_start.shape[1])
         starts, ends = starts[rows], ends[rows]
         widths = ends - starts
         ids = np.empty((len(starts), 8), dtype=np.int64)
-        ids[:, [0, 1, 4]] = at.by_start[:, starts].T
-        ids[:, [2, 3, 5]] = at.by_end[:, ends - 1].T
+        ids[:, [0, 1, 4]] = self.by_start[:, starts].T
+        ids[:, [2, 3, 5]] = self.by_end[:, ends - 1].T
         ids[:, 6] = np.where(widths <= 4,
-                             at.by_short[np.minimum(widths, 4) - 1, starts], -1)
-        ids[:, 7] = at.by_width[widths]
+                             self.by_short[np.minimum(widths, 4) - 1, starts], -1)
+        ids[:, 7] = self.by_width[widths]
         return ids
 
 
@@ -228,9 +217,8 @@ def _length_bucket(length: int) -> str:
     return "9+"
 
 
-def span_representation(chars: Sequence[str],
-                        dim: int = DEFAULT_DIM) -> SpanRepresentation:
-    """Deterministic feature ids for every span of ``chars``.
+def span_representation(chars: Sequence[str], dim: int) -> PositionIds:
+    """Deterministic feature ids below ``dim`` for every span of ``chars``.
 
     The features of every position of ``chars`` are hashed, each distinct
     string once, into the per-position id tables of ``PositionIds``.
@@ -260,7 +248,7 @@ def span_representation(chars: Sequence[str],
         by_short[w - 1, :n - w + 1] = ids[k:k + n - w + 1]
         k += n - w + 1
     by_width = np.concatenate(([-1], ids[k:]))
-    return SpanRepresentation(PositionIds(by_start, by_end, by_short, by_width), dim)
+    return PositionIds(by_start, by_end, by_short, by_width)
 
 
 def score_spans(scorer, chars: Sequence[str], vocab: LabelVocab) -> SpanScores:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .treebank import Corpus, SyntaxTree
+from .treebank import SyntaxTree
 
 POS_TAGS = ["NN", "VV", "NR", "AD", "JJ", "PN", "CD", "M", "P", "DEG", "VA", "LC"]
 PHRASE_LABELS = ["IP", "NP", "VP", "ADJP", "ADVP", "PP", "QP", "DNP", "LCP", "CP"]
@@ -67,7 +67,7 @@ def _generate_tree(rng: np.random.Generator, target_chars: int) -> SyntaxTree:
 
 def synthesize_corpus(num_sentences: int, seed: int = 0,
                       median_chars: float = 16.0, sigma: float = 0.5,
-                      min_chars: int = 3, max_chars: int = 120) -> Corpus:
+                      min_chars: int = 3, max_chars: int = 120) -> list[SyntaxTree]:
     """A seeded corpus of ``num_sentences`` random CTB-style trees.
 
     Each sentence draws a target length, clipped to [min_chars,
@@ -83,10 +83,11 @@ def synthesize_corpus(num_sentences: int, seed: int = 0,
         target = int(np.clip(round(rng.lognormal(np.log(median_chars), sigma)),
                              min_chars, max_chars))
         trees.append(_generate_tree(rng, target))
-    return Corpus(trees, f"synthetic(seed={seed})")
+    return trees
 
 
-def synthesize_bench_corpus(num_sentences: int = 348, seed: int = 7) -> Corpus:
+def synthesize_bench_corpus(num_sentences: int = 348,
+                            seed: int = 7) -> list[SyntaxTree]:
     """Newswire-shaped lengths: lognormal, median ~27 chars.  Targets are
     clipped to [3, 120], so sentences have 3 to 125 characters (see
     ``synthesize_corpus``)."""

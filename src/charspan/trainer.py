@@ -148,6 +148,16 @@ def load_train_config(path) -> TrainConfig:
         return parse_train_config(decode_text(f.read(), path), path=path)
 
 
+def _build_scorer(kind: str, dim: int, num_labels: int, hidden: int, dropout: float,
+                  rng: np.random.Generator | None = None,
+                  params: dict[str, np.ndarray] | None = None):
+    """The ``kind`` scorer of these sizes: new, with an MLP's weights drawn
+    from ``rng``, or adopting the arrays ``params``."""
+    if kind == "linear":
+        return LinearScorer(dim, num_labels, **(params or {}))
+    return MLPHead(dim, num_labels, hidden, dropout, rng=rng, params=params)
+
+
 class Checkpoint:
     """Scorer parameters plus everything needed to rebuild inference."""
 
@@ -173,11 +183,8 @@ class Checkpoint:
         arrays rather than copying them, so a process holds one copy of the
         weights; a caller who trains the scorer and still needs the
         checkpoint must copy ``params`` first."""
-        if self.scorer_kind == "linear":
-            return LinearScorer(self.feature_dim, len(self.labels),
-                                self.params["keys"], self.params["rows"])
-        return MLPHead(self.feature_dim, len(self.labels), self.mlp_hidden,
-                       self.dropout, params=self.params)
+        return _build_scorer(self.scorer_kind, self.feature_dim, len(self.labels),
+                             self.mlp_hidden, self.dropout, params=self.params)
 
     def save(self, path) -> None:
         """Write the bytes ``np.savez(f, **arrays)`` writes, one array at a
@@ -223,9 +230,11 @@ class Checkpoint:
         ``labels`` that repeat a label or do not start with the null label,
         linear ``W_ids`` that are not strictly increasing integer ids below
         ``feature_dim``, weights (``W_rows``, ``p_*``) that are not floats or
-        not all finite, or an unknown scorer kind raises DataError naming
-        ``path``, and so does a file that cannot be read as an ``.npz``
-        archive (cut short, damaged, empty, or not an archive at all)."""
+        not all finite, an unknown scorer kind, or a scalar out of range
+        (``feature_dim``, ``mlp_hidden`` integers from 1, ``epoch``,
+        ``decays`` from 0, ``dropout`` in [0, 1), ``best_dev_f1`` finite)
+        raises DataError naming ``path``, and so does a file that cannot be
+        read as an ``.npz`` archive (cut short, damaged, empty, or not one)."""
         import tokenize
         import zipfile  # as in np.load: importing the trainer needs none
         import zlib
@@ -281,8 +290,8 @@ class Checkpoint:
                 LabelVocab(labels)
             except ValueError as e:
                 raise DataError(f"checkpoint array 'labels': {e}", path) from None
-            dim = array("feature_dim", (), int)
-            hidden = array("mlp_hidden", (), int)
+            dim = array("feature_dim", (), _whole(1))
+            hidden = array("mlp_hidden", (), _whole(1))
             if kind == "linear":
                 keys = array("W_ids", (None,))
                 if not np.issubdtype(keys.dtype, np.integer):
@@ -302,8 +311,31 @@ class Checkpoint:
             else:
                 raise DataError(f"unknown scorer kind {kind!r}", path)
             return cls(kind, params, labels, dim, hidden,
-                       array("dropout", (), float), array("epoch", (), int),
-                       array("best_dev_f1", (), float), array("decays", (), int))
+                       array("dropout", (), _rate), array("epoch", (), _whole(0)),
+                       array("best_dev_f1", (), _finite), array("decays", (), _whole(0)))
+
+
+def _whole(low: int):
+    """The cast of a checkpoint scalar to an integer of at least ``low``:
+    any other value, 1.5 included, raises ValueError."""
+    def cast(value: np.ndarray) -> int:
+        number = int(value)
+        if number < low or (value.dtype.kind not in "iu" and float(value) != number):
+            raise ValueError(f"{value} is not an integer of at least {low}")
+        return number
+    return cast
+
+
+def _rate(value: np.ndarray) -> float:
+    if not 0.0 <= float(value) < 1.0:  # NaN too
+        raise ValueError(f"{value} is not in [0, 1)")
+    return float(value)
+
+
+def _finite(value: np.ndarray) -> float:
+    if not np.isfinite(float(value)):
+        raise ValueError(f"{value} is not finite")
+    return float(value)
 
 
 def _write_npy(zf, name: str, array: np.ndarray, shape: tuple | None = None,
@@ -347,13 +379,6 @@ def _read_params(f, layout: list[tuple]) -> dict[str, np.ndarray]:
             raise RuntimeError(f"the best-dev copy of {name!r} came back short")
         params[name] = value
     return params
-
-
-def _make_scorer(config: TrainConfig, dim: int, num_labels: int,
-                 rng: np.random.Generator):
-    if config.scorer == "linear":
-        return LinearScorer(dim, num_labels)
-    return MLPHead(dim, num_labels, config.mlp_hidden, config.dropout, rng=rng)
 
 
 def _sentence_pass(scorer, rep, gold_map, gold_ct, vocab, kind,
@@ -411,7 +436,8 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
     vocab = build_vocab(gold_char)
     dim = config.effective_feature_dim
     rng = np.random.default_rng(config.seed)
-    scorer = _make_scorer(config, dim, len(vocab), rng)
+    scorer = _build_scorer(config.scorer, dim, len(vocab), config.mlp_hidden,
+                           config.dropout, rng)
     decode_cfg = DecodeConfig()
     # per sentence, the position id tables of its features
     reps = [span_representation(chars, dim) for chars in sentences]
@@ -419,7 +445,7 @@ def train(train_corpus: Sequence, dev_corpus: Sequence,
         # every row SGD will update exists before the first step; the
         # position tables hold the ids of all spans of their sentence
         scorer.register(np.concatenate([table.ravel() for rep in reps
-                                        for table in rep.positions]))
+                                        for table in rep]))
 
     lr = config.learning_rate
     # dev F1 is never NaN, so epoch 1 always beats -1 and writes best_layout

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .labels import RESERVED_LABELS, UNARY_JOIN
 
@@ -143,29 +143,9 @@ class SyntaxTree:
         return serialize_bracketed(self)
 
 
-class Corpus:
-    """An ordered collection of trees read from one source."""
-
-    def __init__(self, trees: Iterable[SyntaxTree], source_name: str = "<string>"):
-        self.trees = list(trees)
-        self.source_name = source_name
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __iter__(self) -> Iterator[SyntaxTree]:
-        return iter(self.trees)
-
-    def __getitem__(self, idx):
-        return self.trees[idx]
-
-    def __repr__(self) -> str:
-        return f"Corpus({len(self.trees)} trees from {self.source_name})"
-
-
-def parse_bracketed(text: str, source_name: str = "<string>", build=None) -> Corpus:
-    """Parse zero or more bracketed trees from ``text``, each passed through
-    ``build`` when it is given.
+def parse_bracketed(text: str, build=None) -> list:
+    """The list of the zero or more bracketed trees in ``text``, each passed
+    through ``build`` when it is given.
 
     Raises TreeFormatError for unbalanced brackets, empty labels on nested
     nodes, empty nodes, and nodes mixing tokens with subtrees, and with the
@@ -257,7 +237,7 @@ def parse_bracketed(text: str, source_name: str = "<string>", build=None) -> Cor
             trees.append(build(tree) if build else tree)
         except TreeFormatError as e:  # the tree parses but is not of its kind
             raise TreeFormatError(e.message, start) from None
-    return Corpus(trees, source_name)
+    return trees
 
 
 def serialize_bracketed(tree: SyntaxTree) -> str:
@@ -333,20 +313,20 @@ def _reject_reserved(tree: SyntaxTree) -> SyntaxTree:
     return tree
 
 
-def read_trees(path: str | os.PathLike, build) -> Corpus:
+def read_trees(path: str | os.PathLike, build) -> list:
     """The trees of the UTF-8 file ``path``, each passed through ``build``.
     Bytes that are not UTF-8 raise DataError, and text that is not such
     trees TreeFormatError, both naming the file and the line."""
     with io.open(path, "rb") as f:
         text = decode_text(f.read(), path)
     try:
-        return parse_bracketed(text, str(path), build)
+        return parse_bracketed(text, build)
     except TreeFormatError as e:
         raise TreeFormatError(e.message, path=path,
                               line=text.count("\n", 0, e.pos) + 1) from None
 
 
-def load_corpus(path: str | os.PathLike, strip_tags: bool = True) -> Corpus:
+def load_corpus(path: str | os.PathLike, strip_tags: bool = True) -> list[SyntaxTree]:
     """Read a UTF-8 treebank file, as ``read_trees`` does.
 
     With ``strip_tags`` (the default) function suffixes are removed at load.
@@ -358,7 +338,7 @@ def load_corpus(path: str | os.PathLike, strip_tags: bool = True) -> Corpus:
     return read_trees(path, _reject_reserved)
 
 
-def save_corpus(corpus: Corpus | Iterable[SyntaxTree], path: str | os.PathLike) -> None:
+def save_corpus(corpus: Iterable[SyntaxTree], path: str | os.PathLike) -> None:
     """Write trees one per line, UTF-8."""
     with io.open(path, "w", encoding="utf-8") as f:
         for tree in corpus:

@@ -27,9 +27,10 @@ def _gather_sum(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def span_ids(rep, i: int, j: int) -> np.ndarray:
-    """The feature ids of span (i, j) of the sentence ``rep`` holds, in
-    feature order, without the -1 of a missing span-string feature."""
-    n = rep.positions.by_start.shape[1]
+    """The feature ids of span (i, j) of the sentence whose position tables
+    ``rep`` are, in feature order, without the -1 of a missing span-string
+    feature."""
+    n = rep.by_start.shape[1]
     ids = rep.ids_of(np.array([span_row(n, i, j)]))[0]
     return ids[ids >= 0]
 

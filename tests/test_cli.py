@@ -278,27 +278,30 @@ def test_parse_sentence_count_mismatch_counts_every_block(workdir, tmp_path, cap
     sents.write_text("\n".join(lines[:keep] + ["嗯"] * extra) + "\n",
                      encoding="utf-8")
     out = tmp_path / "trees.txt"
-    code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
+    scores = workdir / "scores.txt"
+    code = cli.main(["parse", "--score-file", str(scores),
                      "--input", str(sents), "--output", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == (f"charspan: error: score file has 8 "
-                                       f"sentences, input has {keep + extra}\n")
+    assert capsys.readouterr().err == (f"charspan: error: {scores}: 8 sentences, "
+                                       f"but {sents} has {keep + extra}\n")
     assert not out.exists()
 
 
 def test_parse_reports_the_first_fault(workdir, tmp_path, capsys):
     # sentence 1 has the wrong length and the input ends after sentence 2:
-    # the length error is reached before the count error
+    # the length error is reached before the count error; it names the
+    # line of --input (a blank line is skipped but counted) and the block
     lines = (workdir / "sents.txt").read_text(encoding="utf-8").splitlines()
     sents = tmp_path / "sents.txt"
-    sents.write_text("\n".join([lines[0], lines[1] + "嗯", lines[2]]) + "\n",
+    sents.write_text("\n".join([lines[0], "", lines[1] + "嗯", lines[2]]) + "\n",
                      encoding="utf-8")
-    code = cli.main(["parse", "--score-file", str(workdir / "scores.txt"),
+    scores = workdir / "scores.txt"
+    code = cli.main(["parse", "--score-file", str(scores),
                      "--input", str(sents), "--output", str(tmp_path / "t.txt")])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"charspan: error: sentence 1: score file says n={len(lines[1])}, "
-        f"input line has {len(lines[1]) + 1} characters\n")
+        f"charspan: error: {sents}: line 3: {len(lines[1]) + 1} characters, "
+        f"but sentence 1 of {scores} has n={len(lines[1])}\n")
     assert sorted(os.listdir(tmp_path)) == ["sents.txt"]
 
 
@@ -704,6 +707,23 @@ def _npy_bytes(data: bytes) -> bytes:
      "'labels': label id 0 must be the null label"),
     ("linear", None, {"feature_dim": np.array("x")}, None,
      "'feature_dim': invalid literal for int"),
+    # scalars out of range, or that a cast would round
+    ("linear", None, {"epoch": np.array(1.5)}, None,
+     "'epoch': 1.5 is not an integer of at least 0"),
+    ("mlp", None, {"mlp_hidden": np.array(4.5)}, None,
+     "'mlp_hidden': 4.5 is not an integer of at least 1"),
+    ("linear", None, {"mlp_hidden": np.array(-3)}, None,
+     "'mlp_hidden': -3 is not an integer of at least 1"),
+    ("mlp", None, {"feature_dim": np.array(0)}, None,
+     "'feature_dim': 0 is not an integer of at least 1"),
+    ("linear", None, {"decays": np.array(-1)}, None,
+     "'decays': -1 is not an integer of at least 0"),
+    ("linear", None, {"dropout": np.array(1.7)}, None,
+     r"'dropout': 1.7 is not in \[0, 1\)$"),
+    ("mlp", None, {"dropout": np.array(np.nan)}, None,
+     r"'dropout': nan is not in \[0, 1\)$"),
+    ("linear", None, {"best_dev_f1": np.array(np.inf)}, None,
+     "'best_dev_f1': inf is not finite"),
     # a damaged file: the checkpoint's bytes changed, or other bytes
     ("linear", None, {}, lambda data: data[:4000],
      "cannot read the checkpoint: File is not a zip file"),
@@ -727,6 +747,9 @@ def _npy_bytes(data: bytes) -> bytes:
 ], ids=["mlp-without-W2", "mlp-b1-of-shape-1", "linear-without-W_ids",
         "linear-float-W_ids", "linear-reversed-W_ids", "linear-repeated-label",
         "mlp-labels-not-led-by-null", "linear-feature_dim-not-a-number",
+        "linear-epoch-1.5", "mlp-mlp_hidden-4.5", "linear-mlp_hidden-negative",
+        "mlp-feature_dim-0", "linear-decays-negative", "linear-dropout-1.7",
+        "mlp-dropout-nan", "linear-best_dev_f1-infinite",
         "cut-at-4000-bytes", "flipped-byte-in-W_rows",
         "linear-bytes-cut-from-the-middle", "mlp-bytes-cut-from-the-middle",
         "unclosed-npy-header", "npy-header-with-a-dtype-that-does-not-parse",
@@ -950,7 +973,7 @@ def test_bench_scores_each_sentence_once_per_decode(workdir, checkpoint, monkeyp
     scored = []
 
     def counted(self, rep):
-        scored.append(rep.positions.by_start.shape[1])
+        scored.append(rep.by_start.shape[1])
         return start_blocks(self, rep)
 
     monkeypatch.setattr(LinearScorer, "start_blocks", counted)

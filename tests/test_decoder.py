@@ -526,8 +526,8 @@ def test_decode_sentence_holds_no_sentence_sized_score_array(kind):
     chars = "".join(chr(0x4E00 + int(k)) for k in rng.integers(0, 400, n))
     if kind == "linear":
         dim = 1 << 20
-        positions = span_representation(chars, dim).positions
-        keys = np.unique(np.concatenate([table.ravel() for table in positions]))
+        rep = span_representation(chars, dim)
+        keys = np.unique(np.concatenate([table.ravel() for table in rep]))
         keys = keys[keys >= 0]
         scorer = LinearScorer(dim, num_labels, keys=keys,
                               rows=rng.normal(size=(len(keys), num_labels)))

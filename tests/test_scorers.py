@@ -297,7 +297,7 @@ def test_sgd_step_memory_stays_below_the_sentence_gradient(kind):
         rep = span_representation(chars, dim)
         if kind == "linear":
             scorer = LinearScorer(dim, len(vocab))
-            scorer.register(np.concatenate([t.ravel() for t in rep.positions]))
+            scorer.register(np.concatenate([t.ravel() for t in rep]))
         else:
             scorer = MLPHead(dim, len(vocab), hidden=hidden, dropout=0.0,
                              rng=np.random.default_rng(1))

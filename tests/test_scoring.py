@@ -77,16 +77,15 @@ def test_span_representation_deterministic_and_bounded():
     chars = "春眠不觉晓"
     a = span_representation(chars, dim=1 << 16)
     b = span_representation(chars, dim=1 << 16)
-    assert all(np.array_equal(x, y) for x, y in zip(a.positions, b.positions))
-    assert a.dim == 1 << 16
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     ids = a.ids_of(np.arange(15))
     # -1 only for the span-string feature of span (0, 5)
-    assert (ids < a.dim).all() and np.flatnonzero(ids < 0).tolist() == [4 * 8 + 6]
+    assert (ids < 1 << 16).all() and np.flatnonzero(ids < 0).tolist() == [4 * 8 + 6]
     assert not np.array_equal(span_ids(a, 1, 3), span_ids(a, 1, 4))
 
 
 def test_span_representation_feature_count():
-    rep = span_representation("零一二三四五六七八九")
+    rep = span_representation("零一二三四五六七八九", 1 << 20)
     assert len(span_ids(rep, 0, 4)) == 8  # includes "S:"
     assert len(span_ids(rep, 0, 5)) == 7  # no span-string
 
@@ -136,17 +135,17 @@ def test_span_representation_hashes_each_distinct_feature_once():
     padded = [scoring.LEFT_SENTINEL, *chars, scoring.RIGHT_SENTINEL]
     for p in range(len(chars)):
         a, b = padded[p], padded[p + 1]
-        assert rep.positions.by_start[:, p].tolist() == [
+        assert rep.by_start[:, p].tolist() == [
             ids["L:" + a], ids["B:" + b], ids["LB:" + a + b]]
         a, b = padded[p + 1], padded[p + 2]
-        assert rep.positions.by_end[:, p].tolist() == [
+        assert rep.by_end[:, p].tolist() == [
             ids["E:" + a], ids["R:" + b], ids["ER:" + a + b]]
         for w in range(1, 5):
             expected = ids.get("S:" + chars[p:p + w]) if p + w <= len(chars) else -1
-            assert rep.positions.by_short[w - 1, p] == expected
-    assert rep.positions.by_width.tolist() == [-1] + [
+            assert rep.by_short[w - 1, p] == expected
+    assert rep.by_width.tolist() == [-1] + [
         ids["W:" + scoring._length_bucket(w)] for w in range(1, len(chars) + 1)]
-    assert all(table.dtype == np.int64 for table in rep.positions)
+    assert all(table.dtype == np.int64 for table in rep)
 
 
 def test_span_representation_batch_matches_single_spans():
@@ -181,9 +180,9 @@ def test_span_representation_memory_is_its_tables():
     rng = np.random.default_rng(2)
     chars = "".join(chr(0x4E00 + int(k)) for k in rng.integers(0, 400, 600))
     num_spans = 600 * 601 // 2
-    span_representation(chars[:30])  # warm caches
-    rep, peak = traced_peak(lambda: span_representation(chars))
-    assert rep.positions.by_start.shape == (3, 600)
+    span_representation(chars[:30], 1 << 20)  # warm caches
+    rep, peak = traced_peak(lambda: span_representation(chars, 1 << 20))
+    assert rep.by_start.shape == (3, 600)
     assert peak < 2 * num_spans * 8, peak
 
 
@@ -289,7 +288,7 @@ def test_score_train_draws_dropout_per_span():
 
 def test_score_spans_names_first_nonfinite_span():
     vocab = LabelVocab([NULL_LABEL, "@1", "NN"])
-    width2 = span_ids(span_representation("很好的"), 0, 2)[-1]  # the "W:2" bucket
+    width2 = span_ids(span_representation("很好的", 1 << 20), 0, 2)[-1]  # the "W:2" bucket
     scorer = LinearScorer(1 << 20, len(vocab), keys=[width2],
                           rows=[[0.0, np.inf, 0.0]])
     with pytest.raises(ValueError, match=r"non-finite values at span \(0, 2\)"):

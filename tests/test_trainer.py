@@ -11,7 +11,7 @@ import pytest
 from charspan import scoring
 from charspan.chartree import to_char_tree
 from charspan.scorers import LinearScorer, MLPHead
-from charspan.scoring import SpanRepresentation, build_vocab, score_spans
+from charspan.scoring import PositionIds, build_vocab, score_spans
 from charspan.synthesis import synthesize_corpus
 from charspan.trainer import (Checkpoint, LINEAR_FEATURE_DIM, MLP_FEATURE_DIM,
                               TrainConfig, evaluate_dev, load_train_config,
@@ -301,14 +301,14 @@ def test_training_keeps_no_id_matrices(tiny_corpus, monkeypatch):
     # builds the id rows of one sentence's gradient, and nothing keeps
     # them past the step that lands them
     built = []
-    ids_of = SpanRepresentation.ids_of
+    ids_of = PositionIds.ids_of
 
     def tracked(self, rows):
         ids = ids_of(self, rows)
         built.append(weakref.ref(ids))
         return ids
 
-    monkeypatch.setattr(SpanRepresentation, "ids_of", tracked)
+    monkeypatch.setattr(PositionIds, "ids_of", tracked)
     for cls in (LinearScorer, MLPHead):
         def checked(self, grads, lr, count=None, step=cls.sgd_step):
             # the only id rows alive are those of the batch's gradients

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from charspan.treebank import (Corpus, SyntaxTree, TreeFormatError,
+from charspan.treebank import (SyntaxTree, TreeFormatError,
                                load_corpus, parse_bracketed, save_corpus,
                                serialize_bracketed, strip_function_tags)
 
@@ -117,7 +117,7 @@ def test_corpus_file_round_trip(tmp_path, small_corpus):
     path = tmp_path / "trees.txt"
     save_corpus(small_corpus, path)
     loaded = load_corpus(path, strip_tags=False)
-    assert isinstance(loaded, Corpus)
+    assert isinstance(loaded, list)
     assert list(loaded) == list(small_corpus)
 
 
