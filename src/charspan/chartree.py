@@ -24,10 +24,8 @@ from typing import Iterable
 
 from .labels import (CHAR_LABEL, NULL_LABEL, NULL_TOKEN, SUBWORD_LABEL,
                      UNARY_JOIN, is_word_internal)
-from .treebank import SyntaxTree, TreeFormatError, parse_bracketed, read_trees
-
-# characters no leaf can hold: the bracketed formats split on them
-BAD_LEAF_CHARS = frozenset(" \t\r\n()")
+from .treebank import (BAD_LEAF_CHARS, SyntaxTree, TreeFormatError, parse_bracketed,
+                       read_trees)
 
 
 class CharTree:

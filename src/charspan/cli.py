@@ -30,14 +30,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chartree import (BAD_LEAF_CHARS, from_char_tree, load_char_trees,
-                       save_char_trees, to_char_tree)
+from .chartree import from_char_tree, load_char_trees, save_char_trees, to_char_tree
 from .decoder import DecodeConfig, cky_decode, decode_sentence
 from .metrics import joint_report
 from .scoring import SpanScores, build_vocab, read_score_file, score_spans
 from .trainer import SETTINGS, Checkpoint, TrainConfig, load_train_config, train
-from .treebank import (DataError, decode_text, load_corpus, save_corpus,
-                       serialize_bracketed)
+from .treebank import (BAD_LEAF_CHARS, DataError, decode_text, load_corpus,
+                       save_corpus, serialize_bracketed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +49,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_sentences(path: str):
     """The non-blank lines of ``path``, stripped, each after its 1-based
     line number, read as they are asked for.  A line that is not UTF-8 or
-    that holds a character no leaf can hold (a space, a tab or a
-    parenthesis) raises DataError naming the file and the line."""
+    that holds a character no token can hold (``BAD_LEAF_CHARS``: a space,
+    a tab, a CR or a bracket) raises DataError naming the file and the line."""
     with io.open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             sentence = decode_text(raw, path, lineno).strip()

@@ -318,7 +318,14 @@ def write_scores(scores: SpanScores, vocab: LabelVocab, sink: TextIO,
                  sentence_id: str = "0") -> None:
     if len(vocab) != scores.num_labels:
         raise ValueError("vocabulary size does not match score array")
+    # the reader splits the header lines on whitespace (str.split's) and
+    # reads NULL as the null label
+    if sentence_id.split() != [sentence_id]:
+        raise ValueError(f"sentence id {sentence_id!r} is empty or holds whitespace")
     header_labels = [NULL_TOKEN if lab == NULL_LABEL else lab for lab in vocab.labels]
+    for lid, lab in enumerate(header_labels):
+        if lab.split() != [lab] or (lid and lab == NULL_TOKEN):
+            raise ValueError(f"label {lab!r} cannot be written to a score file")
     sink.write(f"#scores {sentence_id} {scores.n} {scores.num_labels}\n")
     sink.write("#labels " + " ".join(header_labels) + "\n")
     # "%.17g" on a float gives the bytes of format(v, ".17g"), in one operation

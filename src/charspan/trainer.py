@@ -239,20 +239,24 @@ class Checkpoint:
         import zipfile  # as in np.load: importing the trainer needs none
         import zlib
 
-        # a file that cannot be opened raises OSError, with its name; np.load
-        # would read one that is not a zip archive as an array or a pickle
-        with open(path, "rb") as f:
-            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
-                raise DataError("cannot read the checkpoint: not an .npz archive", path)
         # what zipfile, zlib and numpy's format reader raise on damaged bytes,
         # such as OSError (a bad seek) or TokenError and SyntaxError (a header)
         damaged = (zipfile.BadZipFile, zlib.error, ValueError, EOFError, NotImplementedError,
                    RuntimeError, OSError, SyntaxError, tokenize.TokenError)
-        try:
-            data = np.load(path, allow_pickle=False)
-        except damaged as e:
-            raise DataError(f"cannot read the checkpoint: {e}", path) from None
-        with data:
+        # a file that cannot be opened raises OSError, with its name; the
+        # archive and every array are read through this one handle, which is
+        # closed however the reading ends
+        with open(path, "rb") as f:
+            # np.load would read a file that is not a zip archive as an array
+            # or a pickle
+            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise DataError("cannot read the checkpoint: not an .npz archive", path)
+            f.seek(0)
+            try:
+                data = np.load(f, allow_pickle=False)
+            except damaged as e:
+                raise DataError(f"cannot read the checkpoint: {e}", path) from None
+
             def array(name: str, shape: tuple, cast=np.asarray):
                 # None in ``shape`` matches any length; ``cast`` makes the value
                 if name not in data.files:

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from typing import Iterable, Sequence
 
 from .labels import RESERVED_LABELS, UNARY_JOIN
 
-_WS = " \t\r\n"
-_DELIM = "()"
+# the characters no token can hold: space, tab, CR and LF separate tokens
+# and brackets delimit nodes; every other character, U+3000 included, can
+BAD_LEAF_CHARS = frozenset(" \t\r\n()")
+# a token: a bracket, or a run of the characters a token can hold
+_TOKEN = re.compile("[()]|[^%s]+" % re.escape("".join(sorted(BAD_LEAF_CHARS))))
 
 
 class DataError(ValueError):
@@ -74,7 +78,7 @@ class SyntaxTree:
                 raise ValueError("a leaf cannot have children")
             if not token:
                 raise ValueError("leaf token must be non-empty")
-            if any(c in _WS or c in _DELIM for c in token):
+            if not BAD_LEAF_CHARS.isdisjoint(token):
                 raise ValueError(f"leaf token {token!r} contains whitespace or brackets")
         else:
             if not label:
@@ -151,92 +155,56 @@ def parse_bracketed(text: str, build=None) -> list:
     nodes, empty nodes, and nodes mixing tokens with subtrees, and with the
     offset of its tree for one from ``build``; the offset points into ``text``.
     """
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i] in _WS:
-            i += 1
-        return i
-
-    def read_atom(i: int) -> tuple[str, int]:
-        j = i
-        while j < n and text[j] not in _WS and text[j] not in _DELIM:
-            j += 1
-        return text[i:j], j
-
-    def open_node(i: int, top: bool) -> tuple[int, str, int]:
-        """Read the '(' at ``i`` and the label after it: the node's offset,
-        its label and where its body starts."""
-        open_pos = i
-        i = skip_ws(i + 1)
-        if i >= n:
-            raise TreeFormatError("unclosed '('", open_pos)
-        if text[i] == ")":
-            raise TreeFormatError("empty node", open_pos)
-        if text[i] == "(":
-            # An unlabeled wrapper is only legal around a whole tree.
-            if not top:
-                raise TreeFormatError("internal node with empty label", open_pos)
-            return open_pos, "TOP", i
-        label, i = read_atom(i)
-        return open_pos, label, skip_ws(i)
-
-    def parse_tree(i: int) -> tuple[SyntaxTree, int]:
-        # the open node's offset, label, children and token are locals; its
-        # open ancestors wait on a stack, so depth is not bounded by recursion
-        ancestors: list[tuple[int, str, list[SyntaxTree]]] = []
-        open_pos, label, i = open_node(i, True)
-        children: list[SyntaxTree] = []
-        token: str | None = None
-        while True:
-            if i >= n:
-                raise TreeFormatError("unclosed '('", open_pos)
-            ch = text[i]
-            if ch == ")":
-                i += 1
-                if token is not None:
-                    node = SyntaxTree(label, [SyntaxTree(token=token)])
-                elif not children:
-                    raise TreeFormatError("node has no token and no subtrees", open_pos)
-                else:
-                    node = SyntaxTree(label, children)
-                if not ancestors:
-                    return node, i
-                # a node with a subtree has no token
-                open_pos, label, children = ancestors.pop()
-                token = None
-                children.append(node)
-            elif ch == "(":
-                if token is not None:
-                    raise TreeFormatError("node mixes a token with subtrees", i)
-                ancestors.append((open_pos, label, children))
-                open_pos, label, i = open_node(i, False)
-                children = []
+    trees: list = []
+    # the open nodes, outermost first, as [offset, label, children, token];
+    # the label is None until the token after the '(' is read.  Depth is
+    # not bounded by recursion.
+    stack: list[list] = []
+    for m in _TOKEN.finditer(text):
+        tok, i = m.group(), m.start()
+        if not stack:
+            if tok != "(":
+                raise TreeFormatError(f"expected '(', found {tok[0]!r}", i)
+            stack.append([i, None, [], None])
+            continue
+        node = stack[-1]
+        if node[1] is None:
+            if tok == ")":
+                raise TreeFormatError("empty node", node[0])
+            if tok != "(":
+                node[1] = tok
                 continue
+            # an unlabeled wrapper is only legal around a whole tree
+            if len(stack) > 1:
+                raise TreeFormatError("internal node with empty label", node[0])
+            node[1] = "TOP"
+        if tok == "(":
+            if node[3] is not None:
+                raise TreeFormatError("node mixes a token with subtrees", i)
+            stack.append([i, None, [], None])
+        elif tok == ")":
+            start, label, children, token = stack.pop()
+            if token is not None:
+                tree = SyntaxTree(label, [SyntaxTree(token=token)])
+            elif not children:
+                raise TreeFormatError("node has no token and no subtrees", start)
             else:
-                atom_pos = i
-                atom, i = read_atom(i)
-                if token is not None:
-                    raise TreeFormatError("more than one token in a node", atom_pos)
-                if children:
-                    raise TreeFormatError("node mixes a token with subtrees", atom_pos)
-                token = atom
-            i = skip_ws(i)
-
-    trees: list[SyntaxTree] = []
-    i = 0
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            break
-        if text[i] != "(":
-            raise TreeFormatError(f"expected '(', found {text[i]!r}", i)
-        start = i
-        tree, i = parse_tree(i)
-        try:
-            trees.append(build(tree) if build else tree)
-        except TreeFormatError as e:  # the tree parses but is not of its kind
-            raise TreeFormatError(e.message, start) from None
+                tree = SyntaxTree(label, children)
+            if stack:
+                stack[-1][2].append(tree)
+                continue
+            try:
+                trees.append(build(tree) if build else tree)
+            except TreeFormatError as e:  # the tree parses but is not of its kind
+                raise TreeFormatError(e.message, start) from None
+        elif node[3] is not None:
+            raise TreeFormatError("more than one token in a node", i)
+        elif node[2]:
+            raise TreeFormatError("node mixes a token with subtrees", i)
+        else:
+            node[3] = tok
+    if stack:
+        raise TreeFormatError("unclosed '('", stack[-1][0])
     return trees
 
 

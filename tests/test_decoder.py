@@ -22,6 +22,7 @@ from charspan.scoring import (LabelVocab, SpanScores, build_vocab,
                               iter_spans, oracle_scores, score_spans,
                               span_representation, span_row)
 from charspan.treebank import parse_bracketed
+from decoderef import TableScorer, reference_decode
 from memcheck import traced_peak
 
 VOCAB = LabelVocab([NULL_LABEL, "@1", "NN+@1", "NN", "@2"])
@@ -538,3 +539,54 @@ def test_decode_sentence_holds_no_sentence_sized_score_array(kind):
     assert tree.span == (0, n)
     score_bytes = n * (n + 1) // 2 * num_labels * 8
     assert peak < score_bytes / 4, (peak, score_bytes)
+
+
+# --- the scalar reference, at the lengths the decoder runs at ----------
+
+SCORE_KINDS = {
+    "uniform": lambda rng, shape: rng.uniform(-1.0, 1.0, shape),
+    # labels and splits tie on most spans, and sums of them are exact
+    "ternary": lambda rng, shape: rng.integers(-1, 2, shape).astype(float),
+    "zero": lambda rng, shape: np.zeros(shape),
+}
+# at n = 125 the 12 labels' scores pass _CHUNK_VALUES, so decode_sentence
+# cuts them into chunks under every chunking
+REFERENCE_LENGTHS = [*range(1, 11), 17, 40, 125]
+
+
+def kind_scores(kind: str, n: int, seed: int) -> SpanScores:
+    shape = (n * (n + 1) // 2, len(SENTENCE_VOCAB))
+    return SpanScores(n, shape[1], SCORE_KINDS[kind](np.random.default_rng(seed), shape))
+
+
+@pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
+def test_scalar_reference_equals_brute_force(kind):
+    for n in range(1, 9):
+        scores = kind_scores(kind, n, seed=n)
+        for config in CONFIGS:
+            want, want_total = brute_force_decode(scores, SENTENCE_VOCAB, config)
+            got, total = reference_decode(scores, SENTENCE_VOCAB, config,
+                                          PLACEHOLDER_CHAR * n)
+            assert got == want, (n, config)
+            assert float.hex(total) == float.hex(want_total), (n, config)
+
+
+@pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
+def test_decoders_equal_the_scalar_reference(monkeypatch, kind):
+    # trees and totals bit for bit, on every mask configuration and, for
+    # decode_sentence, however the sentence is cut into chunks
+    for n in REFERENCE_LENGTHS:
+        scores = kind_scores(kind, n, seed=100 + n)
+        chars = "".join(np.random.default_rng(n).choice(list("好中国人的了"), n))
+        for config in CONFIGS:
+            want, want_total = reference_decode(scores, SENTENCE_VOCAB, config, chars)
+            got, total = cky_decode(scores, SENTENCE_VOCAB, config, chars=chars)
+            assert got == want, (n, config)
+            assert float.hex(total) == float.hex(want_total), (n, config)
+            for chunking in CHUNKINGS:
+                with monkeypatch.context() as patch:
+                    set_chunking(patch, chunking)
+                    got, total = decode_sentence(TableScorer(scores), chars,
+                                                 SENTENCE_VOCAB, config)
+                assert got == want, (n, config, chunking)
+                assert float.hex(total) == float.hex(want_total), (n, config, chunking)

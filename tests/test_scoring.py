@@ -2,6 +2,7 @@
 
 import gc
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -457,6 +458,20 @@ def test_write_scores_refuses_nonfinite():
     scores.values[span_row(1, 0, 1), 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         write_scores(scores, vocab, io.StringIO())
+
+
+@pytest.mark.parametrize("sentence_id, label", [
+    ("a b", "NN"), ("", "NN"), ("x\ny", "NN"), ("x\u3000y", "NN"),
+    ("0", "NN VP"), ("0", ""), ("0", "NN\t"), ("0", "NULL"),
+])
+def test_write_scores_refuses_what_its_reader_cannot_read_back(sentence_id, label):
+    # each of these would make a block that read_score_file rejects
+    vocab = LabelVocab([NULL_LABEL, "@1", label])
+    buf = io.StringIO()
+    message = (f"label {label!r}" if sentence_id == "0" else f"sentence id {sentence_id!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
+        write_scores(SpanScores(1, 3), vocab, buf, sentence_id)
+    assert buf.getvalue() == ""
 
 
 def _per_line_read(text):

@@ -53,6 +53,11 @@ def test_serialize_parse_round_trip():
     assert parse_bracketed(serialize_bracketed(t))[0] == t
 
 
+def at(message, offset):
+    """A pattern for the whole text of the TreeFormatError ``message`` at ``offset``."""
+    return f"^{re.escape(f'{message} (at offset {offset})')}$"
+
+
 @pytest.mark.parametrize("bad, message", [
     ("(A (B x)", "unclosed"),
     ("()", "empty node"),
@@ -60,10 +65,31 @@ def test_serialize_parse_round_trip():
     ("(A x y)", "more than one token"),
     ("x", re.escape("expected '('")),
     ("(A (B x)) garbage", re.escape("expected '('")),
+    ("(A )", at("node has no token and no subtrees", 0)),
+    ("(", at("unclosed '('", 0)),
+    ("(A (B", at("unclosed '('", 3)),
+    (")", at("expected '(', found ')'", 0)),
+    ("(A (B x) y)", at("node mixes a token with subtrees", 9)),
+    ("(A x (B y))", at("node mixes a token with subtrees", 5)),
+    ("(A x y)", at("more than one token in a node", 5)),
+    ("(A ( (B x)))", at("internal node with empty label", 3)),
+    ("(A (B x)) garbage", at("expected '(', found 'g'", 10)),
 ])
 def test_malformed_input_rejected(bad, message):
     with pytest.raises(TreeFormatError, match=message):
         parse_bracketed(bad)
+
+
+def test_only_space_tab_cr_and_lf_separate_tokens():
+    # U+3000 and \x0b are characters of a token like any other
+    assert parse_bracketed("(NN 中\u3000国)")[0].leaves() == ["中\u3000国"]
+    assert parse_bracketed("(NN\x0b 中)")[0].label == "NN\x0b"
+    assert parse_bracketed("(\u3000(NN 中))")[0].label == "\u3000"
+    # CRLF line ends separate tokens, and trees, as LF does
+    text = "(IP\r\n (NN 中国)\r\n (VV 走))\r\n(NN 好)\r\n"
+    assert parse_bracketed(text) == parse_bracketed(text.replace("\r\n", "\n")) == [
+        SyntaxTree("IP", [SyntaxTree("NN", [leaf("中国")]), SyntaxTree("VV", [leaf("走")])]),
+        SyntaxTree("NN", [leaf("好")])]
 
 
 def test_error_carries_offset():
